@@ -59,7 +59,13 @@ from ..observability.stats import StatsCollector
 from ..optimum.lower_bounds import height_lower_bound
 from ..workloads.base import WorkloadGenerator
 from ..workloads.uniform import UniformWorkload
-from .fastpath import FastEngine, ReplayContext, choose_backend, fast_policy_for
+from .fastpath import (
+    FastEngine,
+    ReplayContext,
+    choose_backend,
+    choose_trials_backend,
+    fast_policy_for,
+)
 
 __all__ = [
     "InstanceSpec",
@@ -292,34 +298,28 @@ class BatchRunner:
         :class:`InstanceSpec` to materialise lazily.
     backend:
         Fastpath backend override; default is the per-instance
-        :func:`~repro.simulation.fastpath.choose_backend` heuristic.
-    trials_backend:
-        Backend override for :meth:`run_trials` only (the
-        :envvar:`REPRO_TRIALS_BACKEND` environment variable is its
-        process-wide twin, consulted by
-        :func:`~repro.simulation.fastpath.choose_trials_backend`);
-        default auto-selects per call.
+        :func:`~repro.simulation.fastpath.choose_backend` heuristic
+        (:func:`~repro.simulation.fastpath.choose_trials_backend` for
+        :meth:`run_trials`).
     """
 
     __slots__ = (
-        "source", "backend", "trials_backend",
-        "_instance", "_lb", "_ctx", "_engine", "_vec_engine",
+        "source", "backend",
+        "_instance", "_lb", "_ctx", "_engine", "_trials_engine",
     )
 
     def __init__(
         self,
         source: BatchSource,
         backend: Optional[str] = None,
-        trials_backend: Optional[str] = None,
     ) -> None:
         self.source = source
         self.backend = backend
-        self.trials_backend = trials_backend
         self._instance: Optional[Instance] = source if isinstance(source, Instance) else None
         self._lb: Optional[float] = None
         self._ctx: Optional[ReplayContext] = None
         self._engine: Optional[FastEngine] = None
-        self._vec_engine: Optional[FastEngine] = None
+        self._trials_engine: Optional[FastEngine] = None
 
     @property
     def instance(self) -> Instance:
@@ -452,85 +452,51 @@ class BatchRunner:
             return results, assignments
         return results
 
-    def _trials_engine(self, backend: str, policy: str) -> FastEngine:
-        """Build (or re-arm) the cached dedicated trials engine.
+    def _engine_for_trials(self, backend: str, policy: str) -> FastEngine:
+        """The engine an M-trial call on ``backend`` runs through.
 
-        Generalises the old lockstep-only engine cache to any backend:
-        the context is rebuilt only when the cached one's array layout
-        is incompatible (python lists vs numpy arrays), and the engine
-        only when the backend actually changed.
+        The shared per-instance engine when its context has the same
+        layout (numpy arrays vs python lists); otherwise a dedicated,
+        cached engine with its own context — the shared one serves the
+        single runs of the other backend.
         """
-        from .fastpath import _context_compatible
-
-        ctx = self._ctx
-        if ctx is None or not _context_compatible(ctx.backend, backend):
-            # a fresh context doubles as the shared one when none is
-            # cached yet (all numpy-family layouts are identical)
+        if self._ctx is None:
+            self._ctx = ReplayContext(self.instance, backend)
+        if self._ctx.backend == backend:
+            return self._fast_engine(policy, 0, None)
+        engine = self._trials_engine
+        if engine is None:
             ctx = ReplayContext(self.instance, backend)
-            if self._ctx is None:
-                self._ctx = ctx
-        if self._vec_engine is None or self._vec_engine.backend != backend:
-            self._vec_engine = FastEngine(
-                ctx.instance, policy, seed=0, backend=backend, context=ctx,
+            engine = self._trials_engine = FastEngine(
+                ctx.instance, policy, backend=backend, context=ctx,
             )
         else:
-            self._vec_engine.reset(policy=policy, seed=0, context=ctx)
-        return self._vec_engine
+            engine.reset(policy=policy, seed=0)
+        return engine
 
     def run_trials(
         self,
         seeds: Iterable[int],
         policy: str = "random_fit",
         instance_index: int = 0,
-        vectorized: Optional[bool] = None,
-        trials_backend: Optional[str] = None,
     ):
         """M seeded ``random_fit`` trials through one batched invocation.
 
         One :meth:`FastEngine.run_trials
         <repro.simulation.fastpath.FastEngine.run_trials>` call serves
         every seed; each trial's aggregates are bit-identical to a fresh
-        per-unit run with that seed.
-
-        ``trials_backend`` pins the kernel tier for this call (any
-        fastpath backend name; ``numba`` degrades gracefully), and the
-        constructor's ``trials_backend`` pins it for every call.  The
-        legacy ``vectorized`` flag is the boolean shorthand it
-        supersedes: ``True`` forces the trial-lockstep tier, ``False``
-        the sequential re-armed single-trial path.  The default
-        auto-selects via
-        :func:`~repro.simulation.fastpath.choose_trials_backend`
-        (which itself honours :envvar:`REPRO_TRIALS_BACKEND` and
-        :envvar:`REPRO_FASTPATH_BACKEND`): warm numba kernels first,
-        lockstep whenever numpy is available and more than one seed is
-        requested, unless this runner pins a different backend.
+        per-unit run with that seed.  The backend is this runner's
+        ``backend`` when pinned, else
+        :func:`~repro.simulation.fastpath.choose_trials_backend`:
+        ``"numpy"`` — the lockstep kernel — for two or more seeds.
         """
         from .parallel import UnitResult
-        from .fastpath import (
-            NUMBA_BACKEND,
-            VECTORIZED_BACKEND,
-            choose_trials_backend,
-            resolve_backend,
-        )
 
         seed_list = [int(s) for s in seeds]
-        pinned = trials_backend if trials_backend is not None else self.trials_backend
-        if pinned is not None:
-            backend: Optional[str] = resolve_backend(pinned)
-        elif vectorized is not None:
-            backend = VECTORIZED_BACKEND if vectorized else None
-        else:
-            chosen = self.backend
-            if chosen is None:
-                chosen = choose_trials_backend(self.instance, len(seed_list))
-            # the single-engine tiers go through the shared per-instance
-            # engine below, exactly as before the trials override existed
-            backend = chosen if chosen in (VECTORIZED_BACKEND, NUMBA_BACKEND) else None
-
-        if backend is not None:
-            engine = self._trials_engine(backend, policy)
-        else:
-            engine = self._fast_engine(policy, 0, None)
+        backend = self.backend
+        if backend is None:
+            backend = choose_trials_backend(self.instance, len(seed_list))
+        engine = self._engine_for_trials(backend, policy)
         out: List["UnitResult"] = []
         for assignment in engine.run_trials(seed_list):
             cost, num_bins = self._cost_and_bins(assignment)

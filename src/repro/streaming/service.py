@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import operator
 import sys
 from time import perf_counter
 from typing import (
@@ -68,6 +69,16 @@ OPEN_ENDED = sys.float_info.max
 SNAPSHOT_SCHEMA = "repro-service-snapshot/v1"
 
 __all__.append("SNAPSHOT_SCHEMA")
+
+
+def _item_id(item_id: Any) -> int:
+    """A caller-supplied uid as an ``int``: integers only, never a bool."""
+    if not isinstance(item_id, (bool, np.bool_)):
+        try:
+            return operator.index(item_id)
+        except TypeError:
+            pass
+    raise ConfigurationError(f"item id must be an integer, got {item_id!r}")
 
 
 class PlacementService:
@@ -183,19 +194,23 @@ class PlacementService:
         schedule the item's automatic departure; with neither the item
         is open-ended and departs only via :meth:`depart`.  ``at``
         defaults to the current clock and must not move it backwards.
-        ``item_id`` overrides the auto-assigned uid (must not collide
-        with a live item).
+        ``item_id`` overrides the auto-assigned uid (an integer that must
+        not collide with a live item).
+
+        A rejected call changes nothing: every check runs before the
+        clock advances or a uid is consumed.
         """
-        at = self._advance(at)
+        at = self._check_clock(at)
         if duration is not None and departure is not None:
             raise ConfigurationError("pass duration or departure, not both")
         if duration is not None:
-            if duration <= 0:
+            duration = float(duration)
+            if not duration > 0:  # also rejects NaN
                 raise ConfigurationError(f"duration must be positive, got {duration}")
-            end = at + float(duration)
+            end = at + duration
         elif departure is not None:
             end = float(departure)
-            if end <= at:
+            if not end > at:  # also rejects NaN
                 raise ConfigurationError(
                     f"departure {end} must be after arrival {at}"
                 )
@@ -204,16 +219,22 @@ class PlacementService:
         if item_id is None:
             uid = self._next_uid
         else:
-            uid = int(item_id)
-            if uid in self._items:
+            uid = _item_id(item_id)
+            if self._live_at(uid, at):
                 raise ConfigurationError(f"item id {uid} is already live")
-        self._next_uid = max(self._next_uid, uid + 1)
         item = Item(at, end, np.asarray(size, dtype=np.float64), uid=uid)
-        if item.size.shape != self.capacity.shape or np.any(item.size > self.capacity):
+        if item.size.shape != self.capacity.shape:
             raise InvalidItemError(
-                f"item size {np.asarray(size)!r} does not fit the service "
+                f"item size has {item.size.size} dimension(s), the service "
+                f"capacity has {self.capacity.size}"
+            )
+        if np.any(item.size > self.capacity):
+            raise InvalidItemError(
+                f"item size {item.size!r} does not fit the service "
                 f"capacity {self.capacity!r}"
             )
+        self._advance(at)
+        self._next_uid = max(self._next_uid, uid + 1)
 
         opened: List[StreamBin] = []
 
@@ -246,19 +267,22 @@ class PlacementService:
 
         The call first advances the clock to ``at`` (firing any
         departure scheduled at or before it), so departing an item
-        *after* its scheduled time raises — it already left.
+        *after* its scheduled time raises — it already left.  A rejected
+        call changes nothing.
         """
-        at = self._advance(at)
-        if item_id not in self._items:
+        at = self._check_clock(at)
+        uid = _item_id(item_id)
+        if not self._live_at(uid, at):
             raise ConfigurationError(
-                f"item {item_id} is not live (never placed, or already departed)"
+                f"item {uid} is not live (never placed, or already departed)"
             )
-        return self._process_departure(int(item_id), at)
+        self._advance(at)
+        return self._process_departure(uid, at)
 
     def advance(self, to: float) -> int:
         """Advance the clock to ``to``; return how many departures fired."""
         before = self._departures
-        self._advance(float(to))
+        self._advance(self._check_clock(float(to)))
         return self._departures - before
 
     def stats(self) -> RunStats:
@@ -278,14 +302,23 @@ class PlacementService:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _advance(self, at: Optional[float]) -> float:
-        if at is None:
-            at = self._now
-        at = float(at)
-        if at < self._now:
+    def _check_clock(self, at: Optional[float]) -> float:
+        """Validate a requested clock time (``None`` = now) without moving."""
+        at = self._now if at is None else float(at)
+        if not self._now <= at < float("inf"):  # also rejects NaN
             raise ConfigurationError(
-                f"the service clock is monotonic: at={at} is before now={self._now}"
+                f"the service clock is monotonic and finite: at={at}, "
+                f"now={self._now}"
             )
+        return at
+
+    def _live_at(self, uid: int, at: float) -> bool:
+        """Whether ``uid`` is still resident once the clock reaches ``at``."""
+        entry = self._items.get(uid)
+        return entry is not None and entry[0].departure > at
+
+    def _advance(self, at: float) -> None:
+        """Move the clock to a :meth:`_check_clock`-validated ``at``."""
         # scheduled departures up to and including ``at`` fire before
         # whatever op requested the advance (departures-first tie-break)
         while self._pending and self._pending[0][0] <= at:
@@ -295,7 +328,6 @@ class PlacementService:
                 continue  # stale entry: the item departed explicitly
             self._process_departure(uid, t)
         self._now = at
-        return at
 
     def _process_departure(self, uid: int, now: float) -> bool:
         item, bin_ = self._items.pop(uid)
@@ -489,6 +521,10 @@ def serve_loop(
         handled += 1
         try:
             req = json.loads(raw)
+            if not isinstance(req, dict):
+                raise ConfigurationError(
+                    f"a request must be a JSON object, got {type(req).__name__}"
+                )
             op = req.get("op")
             if op == "place":
                 uid = req["item_id"] if req.get("item_id") is not None \

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ..core.errors import ConfigurationError
 from ..core.instance import Instance
@@ -68,6 +67,9 @@ class CorrelatedWorkload(WorkloadGenerator):
             raise ConfigurationError(f"need 1 <= mu < T, got mu={self.mu}, T={self.T}")
 
     def sample(self, rng: np.random.Generator) -> Instance:
+        # imported here: scipy.stats dominates `import repro` otherwise
+        from scipy import stats
+
         cov = np.full((self.d, self.d), self.rho)
         np.fill_diagonal(cov, 1.0)
         z = rng.multivariate_normal(np.zeros(self.d), cov, size=self.n, method="cholesky")

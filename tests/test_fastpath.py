@@ -75,6 +75,27 @@ class TestBackendSelection:
         with pytest.raises(ConfigurationError):
             FastEngine(tiny_instance, "first_fit", backend="fortran")
 
+    def test_vectorized_is_not_a_backend(self, monkeypatch, tiny_instance):
+        # lockstep trials live in the numpy backend's run_trials; the old
+        # "vectorized" name is unknown through both selection paths
+        assert BACKENDS == ("numpy", "python")
+        with pytest.raises(ConfigurationError):
+            FastEngine(tiny_instance, "first_fit", backend="vectorized")
+        monkeypatch.setenv(BACKEND_ENV, "vectorized")
+        with pytest.raises(ConfigurationError):
+            default_backend()
+
+    def test_fastpath_backend_recorded_and_zeroed(self, churny_instance):
+        col = StatsCollector()
+        FastEngine(
+            churny_instance, "first_fit", backend="numpy", collector=col
+        ).run()
+        stats = col.snapshot()
+        assert stats.fastpath_backend == "numpy"
+        # an execution fact, not a result: zeroed from the deterministic
+        # part so trajectories stay backend-independent
+        assert stats.deterministic_part().fastpath_backend == ""
+
     def test_unknown_policy_rejected(self, tiny_instance):
         with pytest.raises(ConfigurationError):
             FastEngine(tiny_instance, "harmonic")
@@ -513,13 +534,13 @@ class TestMeasureKernels:
 
 
 # ----------------------------------------------------------------------
-# trial-lockstep vectorized tier
+# trial-lockstep run_trials (numpy backend, two or more seeds)
 # ----------------------------------------------------------------------
 class TestLockstepTrials:
     SEEDS = (0, 1, 2, 5, 11, 42)
 
     def test_lockstep_matches_per_seed_runs(self, churny_instance):
-        vec = FastEngine(churny_instance, "random_fit", backend="vectorized")
+        vec = FastEngine(churny_instance, "random_fit", backend="numpy")
         lockstep = vec.run_trials(self.SEEDS)
         assert len(lockstep) == len(self.SEEDS)
         for seed, got in zip(self.SEEDS, lockstep):
@@ -535,18 +556,22 @@ class TestLockstepTrials:
     def test_lockstep_trials_differ_across_seeds(self, churny_instance):
         # distinct per-trial Generator streams: seeds must not collapse
         # onto one shared draw sequence
-        out = FastEngine(churny_instance, "random_fit", backend="vectorized").run_trials(
+        out = FastEngine(churny_instance, "random_fit", backend="numpy").run_trials(
             (0, 1)
         )
         assert out[0] != out[1]
 
     def test_numpy_backend_run_trials_loops_sequentially(self, churny_instance):
-        npy = FastEngine(churny_instance, "random_fit", backend="numpy")
-        vec = FastEngine(churny_instance, "random_fit", backend="vectorized")
+        # with a collector attached the numpy engine replays trial by
+        # trial (per-trial counters) and must agree with lockstep
+        col = StatsCollector()
+        npy = FastEngine(churny_instance, "random_fit", backend="numpy", collector=col)
+        vec = FastEngine(churny_instance, "random_fit", backend="numpy")
         assert npy.run_trials(self.SEEDS) == vec.run_trials(self.SEEDS)
+        assert col.snapshot().fastpath_runs == len(self.SEEDS)
 
     def test_run_trials_rejects_non_random_policies(self, churny_instance):
-        eng = FastEngine(churny_instance, "first_fit", backend="vectorized")
+        eng = FastEngine(churny_instance, "first_fit", backend="numpy")
         with pytest.raises(ConfigurationError):
             eng.run_trials((0, 1))
 
@@ -555,7 +580,7 @@ class TestLockstepTrials:
         # capacity to double past the initial allocation mid-run
         items = [Item(0.0, 5.0, np.array([1.0]), uid) for uid in range(150)]
         inst = Instance(items)
-        out = FastEngine(inst, "random_fit", backend="vectorized").run_trials((0, 3))
+        out = FastEngine(inst, "random_fit", backend="numpy").run_trials((0, 3))
         for seed, got in zip((0, 3), out):
             single = FastEngine(inst, "random_fit", seed=seed).run_assignment()
             assert got == single
@@ -568,18 +593,18 @@ class TestLockstepTrials:
             for k in range(120)
         ]
         inst = Instance(items)
-        out = FastEngine(inst, "random_fit", backend="vectorized").run_trials((0, 7))
+        out = FastEngine(inst, "random_fit", backend="numpy").run_trials((0, 7))
         for seed, got in zip((0, 7), out):
             single = FastEngine(inst, "random_fit", seed=seed).run_assignment()
             assert got == single
 
     def test_choose_trials_backend(self, churny_instance, monkeypatch):
-        from repro.simulation.fastpath import choose_trials_backend
+        from repro.simulation.fastpath import choose_backend, choose_trials_backend
 
         monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert choose_trials_backend(churny_instance, 8) == "vectorized"
-        assert choose_trials_backend(churny_instance, 2) == "vectorized"
-        assert choose_trials_backend(churny_instance, 1) != "vectorized"
+        assert choose_trials_backend(churny_instance, 8) == "numpy"
+        assert choose_trials_backend(churny_instance, 2) == "numpy"
+        assert choose_trials_backend(churny_instance, 1) == choose_backend(churny_instance)
         monkeypatch.setenv(BACKEND_ENV, "python")
         assert choose_trials_backend(churny_instance, 8) == "python"
 
@@ -589,16 +614,16 @@ class TestLockstepTrials:
         monkeypatch.delenv(BACKEND_ENV, raising=False)
         seeds = list(range(6))
         auto = BatchRunner(churny_instance).run_trials(seeds)
-        forced_seq = BatchRunner(churny_instance).run_trials(seeds, vectorized=False)
+        forced_seq = BatchRunner(churny_instance, backend="python").run_trials(seeds)
         assert [(u.cost, u.num_bins) for u in auto] == \
             [(u.cost, u.num_bins) for u in forced_seq]
 
-    def test_batch_runner_vectorized_param_forces_lockstep(self, churny_instance):
+    def test_batch_runner_numpy_pin_runs_lockstep(self, churny_instance):
         from repro.simulation.batch import BatchRunner
 
         seeds = list(range(4))
-        vec = BatchRunner(churny_instance).run_trials(seeds, vectorized=True)
-        seq = BatchRunner(churny_instance).run_trials(seeds, vectorized=False)
+        vec = BatchRunner(churny_instance, backend="numpy").run_trials(seeds)
+        seq = BatchRunner(churny_instance, backend="python").run_trials(seeds)
         assert [(u.cost, u.num_bins) for u in vec] == \
             [(u.cost, u.num_bins) for u in seq]
 
@@ -628,159 +653,3 @@ class TestSeedValidation:
 
         reason = fast_ineligibility_reason(algo)
         assert reason is not None and "seed" in reason
-
-
-# ----------------------------------------------------------------------
-# the numba JIT tier: selection, graceful degradation, warn-once
-# ----------------------------------------------------------------------
-class TestNumbaTier:
-    @pytest.fixture(autouse=True)
-    def _fresh_numba_state(self, monkeypatch):
-        from repro.simulation import kernels_numba as knl
-        from repro.simulation.fastpath import reset_backend_fallback_warnings
-
-        # host-level env pins (e.g. a CI leg exporting
-        # REPRO_NUMBA_DISABLE=1) must not leak into these tests
-        monkeypatch.delenv(knl.DISABLE_ENV, raising=False)
-        monkeypatch.delenv(knl.PYFUNC_ENV, raising=False)
-        knl.reset_state()
-        reset_backend_fallback_warnings()
-        yield
-        knl.reset_state()
-        reset_backend_fallback_warnings()
-
-    def test_disabled_numba_not_listed(self, monkeypatch):
-        from repro.simulation import kernels_numba as knl
-
-        monkeypatch.setenv(knl.DISABLE_ENV, "1")
-        assert "numba" not in available_backends()
-
-    def test_env_request_degrades_with_one_warning(self, monkeypatch):
-        """``REPRO_FASTPATH_BACKEND=numba`` on a numba-less host must
-        degrade to numpy with a once-per-cause RuntimeWarning — not
-        raise, and not warn again on the next resolution."""
-        import warnings as _warnings
-
-        from repro.simulation import kernels_numba as knl
-
-        monkeypatch.setenv(knl.DISABLE_ENV, "1")
-        monkeypatch.setenv(BACKEND_ENV, "numba")
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            assert default_backend() == "numpy"
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")
-            assert default_backend() == "numpy"  # warn-once: now silent
-
-    def test_explicit_backend_degrades_and_names_reason(
-        self, monkeypatch, tiny_instance
-    ):
-        from repro.simulation import kernels_numba as knl
-        from repro.simulation.fastpath import backend_ineligibility_reason
-
-        monkeypatch.setenv(knl.DISABLE_ENV, "1")
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            engine = FastEngine(tiny_instance, "first_fit", backend="numba")
-        assert engine.backend == "numpy"
-        reason = backend_ineligibility_reason("numba")
-        assert reason is not None and "numba" in reason
-
-    def test_backend_ineligibility_reason_rejects_unknown(self):
-        from repro.simulation.fastpath import backend_ineligibility_reason
-
-        with pytest.raises(ConfigurationError):
-            backend_ineligibility_reason("fortran")
-
-    def test_pyfunc_mode_runs_the_kernel_end_to_end(
-        self, monkeypatch, churny_instance
-    ):
-        """``REPRO_NUMBA_PYFUNC=1`` drives the numba kernel uncompiled:
-        the whole dispatch path is exercised (and must stay
-        bit-identical) even on hosts without numba installed."""
-        from repro.simulation import kernels_numba as knl
-
-        monkeypatch.setenv(knl.PYFUNC_ENV, "1")
-        assert "numba" in available_backends()
-        for spec in ("best_fit", "next_fit", "best_fit:lp:2.0"):
-            fast = FastEngine(churny_instance, spec, backend="numba").run()
-            algo = (
-                make_algorithm("best_fit", measure="lp", p=2.0)
-                if spec == "best_fit:lp:2.0"
-                else make_algorithm(spec)
-            )
-            classic = run(algo, churny_instance)
-            assert fast.assignment == classic.assignment, spec
-
-    def test_fastpath_backend_recorded_and_zeroed(
-        self, monkeypatch, churny_instance
-    ):
-        from repro.simulation import kernels_numba as knl
-
-        monkeypatch.setenv(knl.PYFUNC_ENV, "1")
-        col = StatsCollector()
-        FastEngine(
-            churny_instance, "first_fit", backend="numba", collector=col
-        ).run()
-        stats = col.snapshot()
-        assert stats.fastpath_backend == "numba"
-        # an execution fact, not a result: zeroed from the deterministic
-        # part so trajectories stay backend-independent
-        assert stats.deterministic_part().fastpath_backend == ""
-
-    def test_trials_backend_env_overrides(self, monkeypatch, churny_instance):
-        from repro.simulation.fastpath import (
-            TRIALS_BACKEND_ENV,
-            choose_trials_backend,
-        )
-
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        monkeypatch.setenv(TRIALS_BACKEND_ENV, "python")
-        assert choose_trials_backend(churny_instance.n, 8) == "python"
-        monkeypatch.setenv(TRIALS_BACKEND_ENV, "fortran")
-        with pytest.raises(ConfigurationError):
-            choose_trials_backend(churny_instance.n, 8)
-
-    def test_trials_backend_env_numba_degrades(
-        self, monkeypatch, churny_instance
-    ):
-        from repro.simulation import kernels_numba as knl
-        from repro.simulation.fastpath import (
-            TRIALS_BACKEND_ENV,
-            choose_trials_backend,
-        )
-
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        monkeypatch.setenv(knl.DISABLE_ENV, "1")
-        monkeypatch.setenv(TRIALS_BACKEND_ENV, "numba")
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            assert choose_trials_backend(churny_instance.n, 8) == "numpy"
-
-    def test_batch_runner_trials_backend_param(
-        self, monkeypatch, churny_instance
-    ):
-        from repro.simulation.batch import BatchRunner
-
-        seeds = [0, 1, 2]
-        baseline = BatchRunner(churny_instance).run_trials(
-            seeds, vectorized=False
-        )
-        pinned = BatchRunner(
-            churny_instance, trials_backend="vectorized"
-        ).run_trials(seeds)
-        assert [(u.cost, u.num_bins) for u in pinned] == \
-            [(u.cost, u.num_bins) for u in baseline]
-        # per-call param wins over the runner-level pin
-        per_call = BatchRunner(
-            churny_instance, trials_backend="python"
-        ).run_trials(seeds, trials_backend="vectorized")
-        assert [(u.cost, u.num_bins) for u in per_call] == \
-            [(u.cost, u.num_bins) for u in baseline]
-
-    def test_numba_suite_writes_honest_stub_when_missing(self, monkeypatch):
-        from repro.observability.bench import run_numba_suite
-        from repro.simulation import kernels_numba as knl
-
-        monkeypatch.setenv(knl.DISABLE_ENV, "1")
-        payload = run_numba_suite(repeats=1)
-        assert payload["available"] is False
-        assert "numba" in payload["reason"]
-        assert "scenarios" not in payload  # no fabricated timings

@@ -79,18 +79,6 @@ def test_random_fit_seed_stream_matches_classic(backend):
             assert fast.assignment == classic.assignment, (entry.recipe, seed)
 
 
-# The four-backend matrix names every kernel tier explicitly — numpy,
-# python, vectorized, numba — so a numba-equipped host runs the JIT legs
-# and a numba-less host *visibly skips* them instead of silently testing
-# three tiers and reporting green.
-_ALL_TIERS = ("numpy", "python", "vectorized", "numba")
-
-
-def _require(backend):
-    if backend not in BACKENDS:
-        pytest.skip(f"{backend} backend unavailable on this host")
-
-
 #: The L1/Lp measure-kernel legs of the matrix: every ranked-policy
 #: measure the registry accepts, including a generic (non-shortcut)
 #: Lp exponent where pow-identity is hardest to preserve.
@@ -103,7 +91,7 @@ _MEASURE_SPECS = (
 )
 
 
-@pytest.mark.parametrize("backend", _ALL_TIERS)
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize(
     "base,kwargs,spec", _MEASURE_SPECS, ids=[s[2] for s in _MEASURE_SPECS]
 )
@@ -111,7 +99,6 @@ def test_measure_kernel_matrix(backend, base, kwargs, spec):
     """L1/Lp ranked policies: every backend replays the classic engine
     bit for bit across the corpus (strided: the full-corpus sweep runs
     in the default-measure test above)."""
-    _require(backend)
     for entry in CORPUS[::3]:
         classic = run(make_algorithm(base, **kwargs), entry.instance)
         fast = FastEngine(entry.instance, spec, backend=backend).run()
@@ -119,11 +106,11 @@ def test_measure_kernel_matrix(backend, base, kwargs, spec):
         assert fast.num_bins == classic.num_bins
 
 
-@pytest.mark.parametrize("backend", _ALL_TIERS)
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_trials_lockstep_matrix(backend):
-    """Batched ``run_trials`` on every tier must equal per-seed classic
-    random_fit runs — same seeds, same assignments, in seed order."""
-    _require(backend)
+    """Batched ``run_trials`` on every backend (lockstep on numpy) must
+    equal per-seed classic random_fit runs — same seeds, same
+    assignments, in seed order."""
     seeds = [0, 1, 2, 3]
     for entry in CORPUS[:6]:
         engine = FastEngine(entry.instance, "random_fit", backend=backend)

@@ -63,14 +63,14 @@ def test_fastpath_on_lower_bound_gadgets(inst, policy):
 
 @given(inst=sts.instances(max_items=14), seed=sts.trial_seeds())
 def test_trial_lockstep_rng_streams_pinned(inst, seed):
-    """Batched trials on every tier (numba included when importable)
-    consume per-seed ``default_rng(seed)`` streams identical to the
-    classic engine's — one draw per non-empty candidate set, in event
-    order, regardless of how the trial loop is fused."""
+    """Batched trials on every backend (two seeds, so numpy runs the
+    lockstep kernel) consume per-seed ``default_rng(seed)`` streams
+    identical to the classic engine's — one draw per non-empty candidate
+    set, in event order, regardless of how the trial loop is fused."""
     classic = run(make_algorithm("random_fit", seed=seed), inst)
     for backend in BACKENDS:
         batched = FastEngine(inst, "random_fit", backend=backend).run_trials(
-            [seed]
+            [seed, seed + 1]
         )
         assert batched[0] == dict(classic.assignment), (backend, seed)
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.errors import ConfigurationError, InvalidItemError
+from repro.core.errors import ConfigurationError, DVBPError, InvalidItemError
 from repro.observability.stats import StatsCollector
 from repro.simulation.runner import run
 from repro.streaming import OPEN_ENDED, PlacementService, serve_loop
@@ -240,6 +240,103 @@ class TestServeLoop:
         assert serve_loop(svc, reqs, out.append) == 5
         resp = [json.loads(line) for line in out]
         assert [r["ok"] for r in resp] == [False, False, False, False, True]
+
+
+class TestRejectionsAreAtomic:
+    """Hostile requests get typed errors and leave the state untouched."""
+
+    @staticmethod
+    def _state(svc):
+        return json.dumps(svc.snapshot(), sort_keys=True)
+
+    def test_rejected_places_leave_snapshot_byte_identical(self):
+        svc = PlacementService(policy="first_fit", capacity=10.0)
+        before = self._state(svc)
+        with pytest.raises(InvalidItemError):
+            svc.place(11.0, at=7.0)                     # oversize
+        with pytest.raises(DVBPError):
+            svc.place(1.0, duration=float("nan"), at=7.0)
+        assert svc.now == 0.0
+        assert self._state(svc) == before
+        assert svc.place(1.0, at=7.0) == 0              # the uid was not consumed
+        assert svc.snapshot()["next_uid"] == 1
+
+    def test_rejected_requests_after_traffic_change_nothing(self):
+        svc = PlacementService(policy="move_to_front", capacity=[4.0, 4.0])
+        svc.place([1.0, 1.0], duration=3.0)
+        svc.place([2.0, 2.0], item_id=9, at=1.0)
+        before = self._state(svc)
+        rejected = [
+            lambda: svc.place([1.0, 1.0], at=5.0, item_id=9),    # live id
+            lambda: svc.place([1.0, 1.0], at=5.0, item_id=True),
+            lambda: svc.place([1.0, 1.0, 1.0], at=5.0),
+            lambda: svc.place([1.0, 1.0], at=float("nan")),
+            lambda: svc.place([1.0, 1.0], departure=2.0, at=5.0),
+            lambda: svc.depart(3, at=5.0),                       # never placed
+            lambda: svc.depart(0, at=5.0),                       # departs at 3
+            lambda: svc.advance(float("inf")),
+        ]
+        for call in rejected:
+            with pytest.raises(DVBPError):
+                call()
+            assert self._state(svc) == before
+
+    def test_item_id_true_is_rejected(self):
+        svc = PlacementService(capacity=10.0)
+        svc.place(1.0, item_id=1)
+        with pytest.raises(ConfigurationError, match="integer"):
+            svc.place(1.0, item_id=True)
+        with pytest.raises(ConfigurationError, match="integer"):
+            svc.depart(True)
+        assert svc.live_items == 1
+
+    def test_string_item_id_raises_typed_error(self):
+        svc = PlacementService(capacity=10.0)
+        with pytest.raises(ConfigurationError, match="integer"):
+            svc.place(1.0, item_id="abc")
+        with pytest.raises(ConfigurationError, match="integer"):
+            svc.depart("abc")
+
+    def test_numpy_integer_item_id_accepted(self):
+        svc = PlacementService(capacity=10.0)
+        svc.place(1.0, item_id=np.int64(5))
+        assert svc.depart(np.int64(5)) is True
+
+    def test_wrong_dimension_is_reported_as_such(self):
+        svc = PlacementService(capacity=[4.0, 4.0])
+        with pytest.raises(InvalidItemError, match="dimension") as info:
+            svc.place([1.0, 1.0, 1.0])
+        assert "does not fit" not in str(info.value)
+
+    def test_serve_loop_non_object_lines(self):
+        svc = PlacementService(capacity=10.0)
+        out = []
+        reqs = ['[1, 2]', '"place"', '42', 'null',
+                '{"op": "place", "size": 1.0}']
+        assert serve_loop(svc, reqs, out.append) == 5
+        resp = [json.loads(line) for line in out]
+        assert [r["ok"] for r in resp] == [False, False, False, False, True]
+        assert all("JSON object" in r["error"] for r in resp[:4])
+        assert resp[4]["item_id"] == 0
+
+    def test_serve_loop_bad_item_ids(self):
+        svc = PlacementService(capacity=10.0)
+        out = []
+        reqs = [
+            '{"op": "place", "size": 1.0, "item_id": true}',
+            '{"op": "place", "size": 1.0, "item_id": "abc"}',
+            '{"op": "place", "size": [1.0, 1.0]}',
+            '{"op": "depart", "item_id": "abc"}',
+            '{"op": "place", "size": 1.0, "item_id": 1}',
+        ]
+        serve_loop(svc, reqs, out.append)
+        resp = [json.loads(line) for line in out]
+        assert [r["ok"] for r in resp] == [False, False, False, False, True]
+        assert all(r["error"].startswith("ConfigurationError") for r in resp[:2])
+        assert resp[2]["error"].startswith("InvalidItemError")
+        assert "dimension" in resp[2]["error"]
+        assert resp[4]["item_id"] == 1
+        assert svc.live_items == 1
 
 
 class TestServeCLI:

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.core.errors import ConfigurationError
 from repro.workloads.base import generate_batch, iter_batch
@@ -199,6 +206,17 @@ class TestCorrelatedWorkload:
             CorrelatedWorkload(rho=1.0)
         with pytest.raises(ConfigurationError):
             CorrelatedWorkload(rho=-0.1)
+
+    def test_import_repro_does_not_load_scipy(self):
+        # scipy.stats is imported lazily by sample(); at module level it
+        # dominated the cost of `import repro`
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        code = "import sys, repro; sys.exit('scipy' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}
+        )
+        assert proc.returncode == 0
 
 
 class TestCloudTraceWorkload:

@@ -11,13 +11,9 @@ kernel change can be profiled in seconds:
     PYTHONPATH=src python tools/profile_kernels.py --json
 
 Each cell reports the minimum wall time over ``--repeats`` runs and the
-derived events/sec (one arrival plus one departure per item).  The
-numba tier — when importable — is warmed up first and its one-off JIT
-cost printed separately (``jit_compile_s``), never folded into the
-per-run timings; under ``REPRO_NUMBA_PYFUNC=1`` the same cells run the
-uncompiled kernels (plumbing checks, not perf).  Context construction
-(event-index sort) is shared per backend family and excluded from the
-timed region via a pre-built :class:`~repro.simulation.fastpath.ReplayContext`.
+derived events/sec (one arrival plus one departure per item).  Context
+construction (event-index sort) is shared per backend and excluded from
+the timed region via a pre-built :class:`~repro.simulation.fastpath.ReplayContext`.
 """
 
 from __future__ import annotations
@@ -63,12 +59,6 @@ def profile(
     backends = tuple(backends) if backends else available_backends()
     policies = tuple(policies) if policies else _DEFAULT_POLICIES
 
-    jit_compile_s = 0.0
-    if "numba" in backends:
-        from repro.simulation import kernels_numba
-
-        jit_compile_s = kernels_numba.warmup()
-
     cells = {}
     for backend in backends:
         ctx = ReplayContext(instance, backend=backend)
@@ -95,7 +85,6 @@ def profile(
         "seed": seed,
         "repeats": repeats,
         "backends": list(backends),
-        "jit_compile_s": jit_compile_s,
         "cells": cells,
     }
 
@@ -112,25 +101,16 @@ def main(argv=None) -> int:
     parser.add_argument("--policy", action="append", default=None,
                         help="restrict to one policy spec (repeatable)")
     parser.add_argument("--backend", action="append", default=None,
-                        choices=["numpy", "python", "vectorized", "numba"],
+                        choices=["numpy", "python"],
                         help="restrict to one backend (repeatable; "
-                             "default: all available)")
+                             "default: both)")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="emit the raw payload as JSON instead of a table")
     args = parser.parse_args(argv)
 
-    requested = args.backend
-    if requested:
-        missing = [b for b in requested if b not in available_backends()]
-        if missing:
-            print(f"unavailable backend(s): {', '.join(missing)} "
-                  f"(available: {', '.join(available_backends())})",
-                  file=sys.stderr)
-            return 1
-
     payload = profile(
         n=args.n, d=args.d, seed=args.seed, repeats=args.repeats,
-        policies=args.policy, backends=requested,
+        policies=args.policy, backends=args.backend,
     )
     if args.as_json:
         json.dump(payload, sys.stdout, indent=2)
@@ -140,9 +120,6 @@ def main(argv=None) -> int:
     print(f"workload: n={payload['n']} d={payload['d']} "
           f"seed={payload['seed']} ({2 * payload['n']} events), "
           f"repeats={payload['repeats']}")
-    if "numba" in payload["backends"]:
-        print(f"numba jit compile: {payload['jit_compile_s']:.2f} s "
-              f"(one-off, excluded from cells)")
     width = max(len(k) for k in payload["cells"]) + 2
     print(f"{'cell'.ljust(width)}{'wall (ms)':>12}{'events/s':>14}")
     for key in sorted(payload["cells"]):
