@@ -2,17 +2,18 @@
 
 :class:`AdversaryDriver` runs an attack in two passes.
 
-**Live pass** — an incremental twin of the classic engine's event loop:
-after every arrival the driver rebuilds an
-:class:`~repro.adversaries.base.EngineView` (open bins, loads,
-residuals, the policy's candidate-list order, committed cost) and asks
-the adversary for the next arrival.  Departures due at or before the
-next arrival are processed first, in ``(time, uid)`` order — exactly
-the classic engine's event ordering — so the policy sees the same
-history it would in a batch replay.  The per-arrival *committed cost*
-is ``sum(bin.usage_time)``: an open bin's usage period already extends
-to the latest departure among items ever packed, so the cost of every
-decision is charged the moment it is made.
+**Live pass** — the classic engine's loop, the shared
+:class:`~repro.simulation.event_core.EventCore`, stepped one arrival at
+a time: after every arrival the driver builds an
+:class:`~repro.adversaries.base.EngineView` from the core's open bins
+(loads, residuals, the policy's candidate-list order, committed cost)
+and asks the adversary for the next arrival.  The core fires departures
+due at or before that arrival first, in ``(time, uid)`` order, so the
+policy sees the same history it would in a batch replay.  The
+per-arrival *committed cost* is ``sum(bin.usage_time)`` over every bin
+ever opened: an open bin's usage period already extends to the latest
+departure among items ever packed, so the cost of every decision is
+charged the moment it is made.
 
 **Replay pass** — the induced arrivals form a plain
 :class:`~repro.core.instance.Instance`, which is replayed through the
@@ -30,7 +31,6 @@ the FFD bracket upper bound when the attack carries no certificate.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -44,6 +44,7 @@ from ..core.errors import AlgorithmError, ConfigurationError
 from ..core.instance import Instance
 from ..core.items import Item
 from ..optimum.opt_cost import optimum_cost_bounds
+from ..simulation.event_core import EventCore, _CapacityContext
 from ..simulation.runner import run
 from .attacks import make_adversary
 from .base import Adversary, AttackConfig, BinView, EngineView, PackRecord
@@ -56,20 +57,6 @@ __all__ = [
 ]
 
 _TOL = 1e-9
-
-
-class _CapacityContext:
-    """Duck-typed stand-in for an Instance carrying only the capacity.
-
-    The live loop has no materialised instance when the policy's
-    ``start`` runs (the adversary has not emitted anything yet); stock
-    policies only read ``instance.capacity`` there.
-    """
-
-    __slots__ = ("capacity",)
-
-    def __init__(self, capacity: np.ndarray) -> None:
-        self.capacity = capacity
 
 
 @dataclass(frozen=True)
@@ -172,20 +159,22 @@ class AdversaryDriver:
         kwargs = {"seed": 0} if self.policy == "random_fit" else {}
         algorithm = make_algorithm(self.policy, **kwargs)
         capacity = np.ones(config.d, dtype=np.float64)
-        algorithm.start(_CapacityContext(capacity))
-
         bins: List[Bin] = []
-        heap: List[Tuple[float, int]] = []  # (departure, uid)
-        item_of: Dict[int, Item] = {}
-        bin_of: Dict[int, Bin] = {}
-        assignment: Dict[int, int] = {}
+
+        def new_bin(index: int, opened_at: float) -> Bin:
+            fresh = Bin(capacity, index=index, opened_at=opened_at)
+            bins.append(fresh)
+            return fresh
+
+        core = EventCore(algorithm, new_bin, record_assignment=True)
+        core.start(_CapacityContext(capacity))
         emitted: List[Item] = []
         trajectory: List[TrajectoryPoint] = []
         now = 0.0
         last: Optional[PackRecord] = None
 
         while True:
-            view = self._view(algorithm, bins, capacity, now, len(emitted), last)
+            view = self._view(algorithm, core, bins, capacity, now, len(emitted), last)
             item = adversary.next_item(view)
             if item is None:
                 break
@@ -200,36 +189,11 @@ class AdversaryDriver:
                     f"{adversary.name} emitted a decreasing arrival "
                     f"({item.arrival} after {now})"
                 )
-            # departures at or before the arrival fire first, in
-            # (time, uid) order — the classic engine's event ordering
-            while heap and heap[0][0] <= item.arrival:
-                dep_time, uid = heapq.heappop(heap)
-                departed = item_of.pop(uid)
-                target = bin_of.pop(uid)
-                closed = target.remove(departed, dep_time)
-                algorithm.notify_departure(target, departed, dep_time, closed)
             now = item.arrival
-
-            opened: List[Bin] = []
-
-            def open_new_bin() -> Bin:
-                fresh = Bin(capacity, index=len(bins), opened_at=now)
-                bins.append(fresh)
-                opened.append(fresh)
-                return fresh
-
-            target = algorithm.dispatch(item, now, open_new_bin)
-            if target is None:
-                raise AlgorithmError(
-                    f"{self.policy} returned no bin for item {item.uid}"
-                )
-            target.pack(item)
-            item_of[item.uid] = item
-            bin_of[item.uid] = target
-            assignment[item.uid] = target.index
-            heapq.heappush(heap, (item.departure, item.uid))
+            opened_before = core.bins_opened
+            target = core.arrive(item)
             emitted.append(item)
-            last = PackRecord(item.uid, target.index, bool(opened))
+            last = PackRecord(item.uid, target.index, core.bins_opened > opened_before)
 
             if self.record_trajectory:
                 committed = sum(b.usage_time for b in bins)
@@ -249,12 +213,7 @@ class AdversaryDriver:
             raise AlgorithmError(f"{adversary.name} emitted no items")
         # drain the remaining departures so the live policy state winds
         # down cleanly (cost is already committed — this changes nothing)
-        while heap:
-            dep_time, uid = heapq.heappop(heap)
-            departed = item_of.pop(uid)
-            target = bin_of.pop(uid)
-            closed = target.remove(departed, dep_time)
-            algorithm.notify_departure(target, departed, dep_time, closed)
+        core.drain()
 
         instance = Instance(
             emitted, capacity=capacity,
@@ -265,7 +224,7 @@ class AdversaryDriver:
         # reproduce the live decisions bit for bit
         replay_algorithm = make_algorithm(self.policy, **kwargs)
         packing = run(replay_algorithm, instance)
-        replay_identical = dict(packing.assignment) == assignment
+        replay_identical = dict(packing.assignment) == core.assignment
 
         certificate = adversary.opt_upper()
         if certificate is None:
@@ -302,13 +261,18 @@ class AdversaryDriver:
     @staticmethod
     def _view(
         algorithm,
+        core: EventCore,
         bins: List[Bin],
         capacity: np.ndarray,
         now: float,
         emitted: int,
         last: Optional[PackRecord],
     ) -> EngineView:
-        """Snapshot the live engine state for the adversary."""
+        """Snapshot the live engine state for the adversary.
+
+        Open bins come from the core; the committed cost sums every bin
+        ever opened (``bins``), closed ones included, in opening order.
+        """
         positions: Dict[int, int] = {}
         candidate_order: Tuple[int, ...] = ()
         if isinstance(algorithm, AnyFitAlgorithm):
@@ -316,11 +280,7 @@ class AdversaryDriver:
             positions = {b.index: i for i, b in enumerate(open_list)}
             candidate_order = tuple(b.index for b in open_list)
         views = []
-        committed = 0.0
-        for b in bins:
-            committed += b.usage_time
-            if not b.is_open:
-                continue
+        for b in core.open_bins.values():
             views.append(BinView(
                 index=b.index,
                 load=tuple(float(x) for x in b.load),
@@ -335,7 +295,7 @@ class AdversaryDriver:
             open_bins=tuple(views),
             candidate_order=candidate_order,
             bins_opened=len(bins),
-            committed_cost=committed,
+            committed_cost=sum((b.usage_time for b in bins), 0.0),
             emitted=emitted,
             last=last,
         )

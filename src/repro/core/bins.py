@@ -87,6 +87,10 @@ class Bin:
         """Uids of currently resident items."""
         return set(self._active.keys())
 
+    def resident(self, uid: int) -> Optional[Item]:
+        """The resident item with ``uid``, or ``None``."""
+        return self._active.get(uid)
+
     def can_fit(self, item: Item) -> bool:
         """Whether ``item`` fits the residual capacity (per-dimension)."""
         return fits(self.load, item.size, self.capacity)

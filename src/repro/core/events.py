@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, List
 
 from .instance import Instance
@@ -68,10 +69,9 @@ def event_stream(instance: Instance) -> List[Event]:
 
 
 def iter_arrivals(instance: Instance) -> Iterator[Item]:
-    """Items in online arrival order (stable at ties)."""
-    for ev in event_stream(instance):
-        if ev.kind is EventKind.ARRIVAL:
-            yield ev.item
+    """Items in online arrival order: by time, equal times in list order
+    (the arrival half of :func:`event_stream`'s order, rule 3)."""
+    return iter(sorted(instance.items, key=attrgetter("arrival")))
 
 
 __all__.append("iter_arrivals")

@@ -1,9 +1,10 @@
 """Online engine and policies for heterogeneous fleets.
 
 The homogeneous engine's contract changes in one place: *opening a bin
-requires choosing a type*.  :class:`TypedEngine` mirrors
-:class:`repro.simulation.engine.Engine` with typed bins and rate-weighted
-cost accounting; :class:`TypedAnyFit` generalises the Any Fit template —
+requires choosing a type*.  :class:`TypedEngine` runs the shared
+:class:`~repro.simulation.event_core.EventCore` with a bin factory that
+builds each bin to its chosen type's capacity, and weights cost by the
+type's rate; :class:`TypedAnyFit` generalises the Any Fit template —
 pack into an open bin if any fits, otherwise open a bin of the type the
 ``opening_rule`` selects, choosing among fitting bins with a pluggable
 selection rule (default: Move To Front recency).
@@ -18,17 +19,17 @@ single-type fleet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
 from ..core.bins import Bin
 from ..core.errors import AlgorithmError, ConfigurationError, PackingAuditError
-from ..core.events import EventKind, event_stream
+from ..core.events import iter_arrivals
 from ..core.instance import Instance
-from ..core.intervals import Interval
 from ..core.items import Item
 from ..core.vectors import EPS
+from ..simulation.event_core import EventCore
 from .types import Fleet, ServerType
 
 __all__ = ["TypedBinRecord", "TypedPacking", "TypedAnyFit", "TypedEngine", "typed_run"]
@@ -193,79 +194,38 @@ class TypedEngine:
         self.instance = instance
         self.algorithm = algorithm
         self._bins: List[Tuple[Bin, ServerType]] = []
-        self._bin_of_item: Dict[int, Bin] = {}
-        self._type_of_bin: Dict[int, ServerType] = {}
-        self._assignment: Dict[int, int] = {}
-        self._close_times: Dict[int, float] = {}
         self._ran = False
 
     def run(self) -> TypedPacking:
         if self._ran:
             raise AlgorithmError("TypedEngine instances are single-use")
         self._ran = True
-        self.algorithm.start(self.instance)
-
-        for event in event_stream(self.instance):
-            if event.kind is EventKind.ARRIVAL:
-                self._arrival(event.item, event.time)
-            else:
-                self._departure(event.item, event.time)
-
-        records = []
-        for bin_, stype in self._bins:
-            closed = self._close_times.get(bin_.index)
-            if closed is None:
-                closed = max(
-                    self.instance.items[self._uid_index(u)].departure
-                    for u in (it.uid for it in bin_.history)
-                )
-            records.append(
-                TypedBinRecord(
-                    index=bin_.index,
-                    type_name=stype.name,
-                    cost_rate=stype.cost_rate,
-                    opened_at=bin_.opened_at,
-                    closed_at=closed,
-                    item_uids=tuple(it.uid for it in bin_.history),
-                )
+        core = EventCore(self.algorithm, self._new_bin, record_assignment=True)
+        core.start(self.instance)
+        core.replay(iter_arrivals(self.instance))
+        records = [
+            TypedBinRecord(
+                index=bin_.index,
+                type_name=stype.name,
+                cost_rate=stype.cost_rate,
+                opened_at=bin_.opened_at,
+                closed_at=bin_.closed_at,
+                item_uids=tuple(it.uid for it in bin_.history),
             )
+            for bin_, stype in self._bins
+        ]
         return TypedPacking(
             instance=self.instance,
             fleet=self.algorithm.fleet,
-            assignment=dict(self._assignment),
+            assignment=core.assignment,
             bins=tuple(records),
             algorithm=self.algorithm.name,
         )
 
-    def _uid_index(self, uid: int) -> int:
-        # uids equal positions for generator-produced instances; fall
-        # back to a scan otherwise
-        items = self.instance.items
-        if uid < len(items) and items[uid].uid == uid:
-            return uid
-        for i, it in enumerate(items):
-            if it.uid == uid:
-                return i
-        raise KeyError(uid)
-
-    def _arrival(self, item: Item, now: float) -> None:
-        def open_new_bin(stype: ServerType) -> Bin:
-            fresh = Bin(stype.capacity_array, index=len(self._bins), opened_at=now)
-            self._bins.append((fresh, stype))
-            self._type_of_bin[fresh.index] = stype
-            return fresh
-
-        target = self.algorithm.dispatch(item, now, open_new_bin)
-        target.pack(item)
-        self._bin_of_item[item.uid] = target
-        self._assignment[item.uid] = target.index
-
-    def _departure(self, item: Item, now: float) -> None:
-        bin_ = self._bin_of_item.pop(item.uid)
-        closed = bin_.remove(item, now)
-        if closed:
-            self._close_times[bin_.index] = now
-        self.algorithm.notify_departure(bin_, item, now, closed)
+    def _new_bin(self, index: int, opened_at: float, stype: ServerType) -> Bin:
+        fresh = Bin(stype.capacity_array, index=index, opened_at=opened_at)
+        self._bins.append((fresh, stype))
+        return fresh
 
 
 def typed_run(algorithm: TypedAnyFit, instance: Instance, validate: bool = False) -> TypedPacking:

@@ -1,14 +1,15 @@
 """The repacking engine: the fifth engine mode, with bounded recourse.
 
-:class:`RepackingEngine` replays the same ``(time, kind, seq)`` event
-stream as the classic :class:`~repro.simulation.engine.Engine`, with the
-same algorithm dispatch on arrivals and the same departure handling —
-then, *after* each event is applied, gives a
-:class:`~repro.repacking.policies.RepackPolicy` a window in which it may
-relocate live items through a :class:`RepackContext`.  Every relocation
-is admitted by the run's :class:`~repro.repacking.ledger.MigrationLedger`
-(hard budget enforcement) and logged with its projected Eq. 1 cost
-delta.
+:class:`RepackingEngine` replays an instance through the same
+:class:`~repro.simulation.event_core.EventCore` as the classic
+:class:`~repro.simulation.engine.Engine` — same event order, same
+algorithm dispatch on arrivals, same departure handling — and plugs into
+the core's after-event callback: *after* each event is applied, a
+:class:`~repro.repacking.policies.RepackPolicy` gets a window in which
+it may relocate live items through a :class:`RepackContext`.  Every
+relocation is admitted by the run's
+:class:`~repro.repacking.ledger.MigrationLedger` (hard budget
+enforcement) and logged with its projected Eq. 1 cost delta.
 
 With a budget of zero the repack window never moves anything, the code
 path collapses to the classic engine's, and the result is **bit
@@ -37,11 +38,12 @@ from ..core.errors import (
     CapacityExceededError,
     ConfigurationError,
 )
-from ..core.events import EventKind, event_stream
+from ..core.events import EventKind, iter_arrivals
 from ..core.instance import Instance
 from ..core.items import Item
 from ..core.packing import BinRecord, Packing
 from ..observability.stats import StatsCollector
+from ..simulation.event_core import EventCore
 from .ledger import MigrationLedger, MoveRecord
 from .policies import RepackPolicy, make_repacker
 
@@ -163,11 +165,11 @@ class RepackContext:
 
     def open_bins(self) -> List[Bin]:
         """Currently open bins, in opening-index order."""
-        return [b for b in self._engine.bins if b.is_open]
+        return list(self._engine._core.open_bins.values())
 
     def bin_of(self, item: Item) -> Bin:
         """The bin ``item`` currently resides in."""
-        return self._engine._bin_of_item[item.uid]
+        return self._engine._core.live[item.uid]
 
     def remaining_budget(self) -> float:
         """Moves still admissible within this event's window."""
@@ -242,12 +244,19 @@ class RepackingEngine:
         self.observers = list(observers)
         self.collector = collector
         self.bins: List[Bin] = []
-        self._bin_of_item: Dict[int, Bin] = {}
-        self._assignment: Dict[int, int] = {}
         self._segments: Dict[int, List[List[float]]] = {}
         self._moves: List[MoveRecord] = []
         self._event_index = -1
         self._ran = False
+        self._ctx = RepackContext(self)
+        self._core = EventCore(
+            algorithm,
+            self._new_bin,
+            observers=self.observers,
+            after_event=self._after_event,
+            collector=collector,
+            record_assignment=True,
+        )
 
     # ------------------------------------------------------------------
     def run(self) -> RepackResult:
@@ -257,95 +266,54 @@ class RepackingEngine:
                 "RepackingEngine instances are single-use; build a new one"
             )
         self._ran = True
-        col = self.collector
-        if col is not None:
-            col.repacking_runs += 1
-            self.algorithm.bind_collector(col)
-
-        ctx = RepackContext(self)
+        core = self._core
+        if self.collector is not None:
+            self.collector.repacking_runs += 1
+        items = list(iter_arrivals(self.instance))
+        core.start(self.instance)
         try:
-            self.algorithm.start(self.instance)
             self.repacker.start(self.instance)
-            for obs in self.observers:
-                obs.on_start(self.instance, self.algorithm)
-
-            for event in event_stream(self.instance):
-                self._event_index += 1
-                if event.kind is EventKind.ARRIVAL:
-                    self._handle_arrival(event.item, event.time)
-                else:
-                    self._handle_departure(event.item, event.time)
-                # the repack window: budget accrues per event whether or
-                # not the policy uses it (amortized credits accumulate)
-                self.ledger.begin_event()
-                ctx.now = event.time
-                self.repacker.after_event(ctx, event.kind, event.time)
+            core.replay(items)
         finally:
-            if col is not None:
-                self.algorithm.bind_collector(None)
+            core.release()
 
         packing = self._final_packing()
         for obs in self.observers:
             obs.on_finish(packing)
+        core.finish({"instance": self.instance.name, "n": self.instance.n})
         return RepackResult(
             packing=packing,
             ledger=self.ledger,
             moves=tuple(self._moves),
-            segments={
-                uid: tuple((int(b), s, e) for b, s, e in segs)
-                for uid, segs in self._segments.items()
-            },
+            segments={item.uid: self._residency(item) for item in items},
             repacker=self.repacker.name,
             budget=self.ledger.budget,
             mode=self.ledger.mode,
         )
 
     # ------------------------------------------------------------------
-    # event handling (mirrors the classic Engine, plus segment tracking)
+    # event-core hooks
     # ------------------------------------------------------------------
-    def _handle_arrival(self, item: Item, now: float) -> None:
-        opened: List[Bin] = []
+    def _new_bin(self, index: int, opened_at: float) -> Bin:
+        fresh = Bin(self.instance.capacity, index=index, opened_at=opened_at)
+        self.bins.append(fresh)
+        return fresh
 
-        def open_new_bin() -> Bin:
-            if opened:
-                raise AlgorithmError(
-                    f"{self.algorithm.name} opened two bins for one item "
-                    f"(item {item.uid})"
-                )
-            fresh = Bin(self.instance.capacity, index=len(self.bins), opened_at=now)
-            self.bins.append(fresh)
-            opened.append(fresh)
-            for obs in self.observers:
-                obs.on_bin_opened(fresh, now)
-            return fresh
-
-        target = self.algorithm.dispatch(item, now, open_new_bin)
-        if target is None:
-            raise AlgorithmError(
-                f"{self.algorithm.name} returned no bin for item {item.uid}"
-            )
-        target.pack(item)
-        self._bin_of_item[item.uid] = target
-        self._assignment[item.uid] = target.index
-        self._segments[item.uid] = [[target.index, now, item.departure]]
-        for obs in self.observers:
-            obs.on_packed(target, item, now, opened_new=bool(opened))
-
-    def _handle_departure(self, item: Item, now: float) -> bool:
-        bin_ = self._bin_of_item.pop(item.uid)
-        closed = bin_.remove(item, now)
-        self._segments[item.uid][-1][2] = now
-        self.algorithm.notify_departure(bin_, item, now, closed)
-        for obs in self.observers:
-            obs.on_departed(bin_, item, now, closed)
-        return closed
+    def _after_event(self, kind: EventKind, now: float) -> None:
+        """The repack window after one event."""
+        self._event_index += 1
+        # budget accrues per event whether or not the policy uses it
+        # (amortized credits accumulate)
+        self.ledger.begin_event()
+        self._ctx.now = now
+        self.repacker.after_event(self._ctx, kind, now)
 
     # ------------------------------------------------------------------
     # migrations
     # ------------------------------------------------------------------
     def _checked_move(self, item: Item, dst: Bin, now: float) -> bool:
         """Budget-enforced move: ledger admission *then* mutation."""
-        src = self._bin_of_item.get(item.uid)
+        src = self._core.live.get(item.uid)
         if src is None:
             raise AlgorithmError(f"cannot move item {item.uid}: not live")
         if dst is src:
@@ -366,21 +334,14 @@ class RepackingEngine:
             raise CapacityExceededError(
                 f"item {item.uid} does not fit bin {dst.index}'s residual capacity"
             )
-        ctx_delta = RepackContext.projected_close  # reuse the same projection
-        src_before = max((it.departure for it in src.active_items()), default=now)
-        others = [it.departure for it in src.active_items() if it.uid != item.uid]
-        src_after = max(others) if others else now
-        dst_before = ctx_delta(dst)
-        dst_after = max(dst_before, item.departure)
-        will_close = len(others) == 0
         record = MoveRecord(
             event_index=self._event_index,
             time=now,
             uid=item.uid,
             src=src.index,
             dst=dst.index,
-            cost_delta=(src_after - src_before) + (dst_after - dst_before),
-            closed_src=will_close,
+            cost_delta=self._ctx.move_delta(item, dst),
+            closed_src=src.num_active == 1,
         )
         self.ledger.record(record)  # raises MigrationBudgetError untouched
         return self._apply_move(item, src, dst, now, record)
@@ -395,11 +356,11 @@ class RepackingEngine:
         bypass — its moves still land in ``self._moves``, which is the
         log the budget auditor replays.
         """
-        closed = src.remove(item, now)
-        dst.pack(item)
-        self._bin_of_item[item.uid] = dst
-        self._assignment[item.uid] = dst.index
-        segs = self._segments[item.uid]
+        closed = self._core.relocate(item, dst, now)
+        segs = self._segments.get(item.uid)
+        if segs is None:  # first move: resident in ``src`` since arrival
+            segs = [[src.index, item.arrival, item.departure]]
+            self._segments[item.uid] = segs
         segs[-1][2] = now
         if segs[-1][1] == now:
             # zero-length residency: the item is moved at the very
@@ -414,13 +375,14 @@ class RepackingEngine:
         self._moves.append(record)
         if self.collector is not None:
             self.collector.migrations += 1
-        # keep the dispatch policy's open list consistent: an emptied
-        # source must leave L (same contract as a real departure)
-        self.algorithm.notify_departure(src, item, now, closed)
-        for obs in self.observers:
-            obs.on_departed(src, item, now, closed)
-            obs.on_packed(dst, item, now, opened_new=False)
         return closed
+
+    def _residency(self, item: Item) -> Tuple[Tuple[int, float, float], ...]:
+        """``item``'s residency segments (one, if it never moved)."""
+        segs = self._segments.get(item.uid)
+        if segs is None:
+            return ((self._core.assignment[item.uid], item.arrival, item.departure),)
+        return tuple((int(b), s, e) for b, s, e in segs)
 
     # ------------------------------------------------------------------
     # result assembly
@@ -431,7 +393,7 @@ class RepackingEngine:
             # it so NoRepack's Packing is structurally identical to the
             # classic engine's (the budget-0 bit-identity contract)
             return Packing.from_assignment(
-                self.instance, self._assignment, algorithm=self.algorithm.name
+                self.instance, self._core.assignment, algorithm=self.algorithm.name
             )
         records = []
         for bin_ in self.bins:
@@ -450,7 +412,7 @@ class RepackingEngine:
             )
         return Packing(
             instance=self.instance,
-            assignment=dict(self._assignment),
+            assignment=dict(self._core.assignment),
             bins=tuple(records),
             algorithm=self.algorithm.name,
         )

@@ -1,10 +1,10 @@
 """Discrete-event simulation engine for online DVBP.
 
-The engine owns everything Algorithm 1's outer loop does that is *not* a
-policy decision: replaying the event stream in order, bin lifecycle
-(creation, packing, closure), irrevocability (an item never moves once
-packed), and usage-time accounting (Eq. 1).  The policy — which bin an
-arriving item goes to — is delegated to an
+The engine replays a materialised instance through Algorithm 1's outer
+loop, the shared :class:`~repro.simulation.event_core.EventCore`: event
+order, bin lifecycle (creation, packing, closure), irrevocability (an
+item never moves once packed) and usage-time accounting (Eq. 1).  The
+policy — which bin an arriving item goes to — is delegated to an
 :class:`~repro.algorithms.base.OnlineAlgorithm`.
 
 Observers can subscribe to every state transition; the analysis layers
@@ -16,17 +16,17 @@ experiment-agnostic.
 from __future__ import annotations
 
 import warnings
-from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from ..algorithms.base import OnlineAlgorithm
 from ..core.bins import Bin
 from ..core.errors import AlgorithmError
-from ..core.events import EventKind, event_stream
+from ..core.events import iter_arrivals
 from ..core.instance import Instance
 from ..core.items import Item
 from ..core.packing import Packing
 from ..observability.stats import StatsCollector
+from .event_core import EventCore
 
 __all__ = [
     "SimulationObserver",
@@ -93,7 +93,8 @@ class Engine:
     Engines are single-use: construct, call :meth:`run`, read the
     returned :class:`~repro.core.packing.Packing`.  (The *algorithm*
     object is reusable — the engine calls its ``start`` — but a given
-    Engine instance must not be run twice.)
+    Engine instance must not be run twice.)  The loop itself is the
+    shared :class:`~repro.simulation.event_core.EventCore`.
     """
 
     def __init__(
@@ -108,145 +109,44 @@ class Engine:
         self.observers = list(observers)
         self.collector = collector
         self.bins: List[Bin] = []
-        self._bin_of_item: Dict[int, Bin] = {}
-        self._assignment: Dict[int, int] = {}
         self._ran = False
 
     # ------------------------------------------------------------------
     def run(self) -> Packing:
         """Execute the full event stream and return the final packing.
 
-        With ``collector=None`` (the default) the event loop is the
-        original uninstrumented fast path; with a collector the loop
-        additionally times each dispatch and feeds the per-event
-        counters (see docs/observability.md).
+        With a collector the core additionally times each dispatch and
+        feeds the lifecycle counters (see docs/observability.md); the
+        collector is bound to the algorithm for the duration of the run
+        so the Any Fit hot path can count its candidate scans.
         """
         if self._ran:
             raise AlgorithmError("Engine instances are single-use; build a new one")
         self._ran = True
-        if self.collector is not None:
-            return self._run_instrumented(self.collector)
-
-        self.algorithm.start(self.instance)
-        for obs in self.observers:
-            obs.on_start(self.instance, self.algorithm)
-
-        for event in event_stream(self.instance):
-            if event.kind is EventKind.ARRIVAL:
-                self._handle_arrival(event.item, event.time)
-            else:
-                self._handle_departure(event.item, event.time)
-
-        packing = Packing.from_assignment(
-            self.instance, self._assignment, algorithm=self.algorithm.name
+        core = EventCore(
+            self.algorithm,
+            self._new_bin,
+            observers=self.observers,
+            collector=self.collector,
+            record_assignment=True,
         )
-        for obs in self.observers:
-            obs.on_finish(packing)
-        return packing
-
-    def _run_instrumented(self, col: StatsCollector) -> Packing:
-        """The instrumented twin of :meth:`run`'s event loop.
-
-        Kept as a separate loop (rather than per-event ``if`` checks on
-        the shared path) so disabling instrumentation costs literally
-        nothing.  The collector is bound to the algorithm for the
-        duration of the run so the Any Fit hot path can count its
-        candidate scans, and unbound afterwards because algorithm
-        objects are reusable across engines.
-        """
-        t_run = perf_counter()
-        self.algorithm.bind_collector(col)
-        # Per-event state lives in locals and is pushed to the collector
-        # once at the end: local integer arithmetic keeps the overhead of
-        # an instrumented run within the documented <= 2% budget.
-        arrivals = departures = opened = closed_count = 0
-        open_bins = peak_open = 0
-        dispatch_s = 0.0
-        # Hot names bound to locals: the per-event lookups this saves
-        # (vs. the plain loop's attribute walks) pay for the two clock
-        # reads per arrival.
-        arrival_kind = EventKind.ARRIVAL
-        bins = self.bins
-        pc = perf_counter
-        handle_arrival = self._handle_arrival
-        handle_departure = self._handle_departure
+        core.start(self.instance)
         try:
-            col.run_started(self.instance, self.algorithm)
-            self.algorithm.start(self.instance)
-            for obs in self.observers:
-                obs.on_start(self.instance, self.algorithm)
-
-            for event in event_stream(self.instance):
-                if event.kind is arrival_kind:
-                    t0 = pc()
-                    handle_arrival(event.item, event.time)
-                    dispatch_s += pc() - t0
-                    arrivals += 1
-                    if len(bins) > opened:
-                        opened += 1
-                        open_bins += 1
-                        if open_bins > peak_open:
-                            peak_open = open_bins
-                else:
-                    departures += 1
-                    if handle_departure(event.item, event.time):
-                        closed_count += 1
-                        open_bins -= 1
-
+            core.replay(iter_arrivals(self.instance))
             packing = Packing.from_assignment(
-                self.instance, self._assignment, algorithm=self.algorithm.name
+                self.instance, core.assignment, algorithm=self.algorithm.name
             )
             for obs in self.observers:
                 obs.on_finish(packing)
         finally:
-            self.algorithm.bind_collector(None)
-        col.record_run_totals(
-            arrivals=arrivals,
-            departures=departures,
-            bins_opened=opened,
-            bins_closed=closed_count,
-            peak_open_bins=peak_open,
-            dispatch_time_s=dispatch_s,
-        )
-        col.run_finished(
-            perf_counter() - t_run,
-            context={"instance": self.instance.name, "n": self.instance.n},
-        )
+            core.release()
+        core.finish({"instance": self.instance.name, "n": self.instance.n})
         return packing
 
-    # ------------------------------------------------------------------
-    def _handle_arrival(self, item: Item, now: float) -> None:
-        opened: List[Bin] = []
-
-        def open_new_bin() -> Bin:
-            if opened:
-                raise AlgorithmError(
-                    f"{self.algorithm.name} opened two bins for one item "
-                    f"(item {item.uid})"
-                )
-            fresh = Bin(self.instance.capacity, index=len(self.bins), opened_at=now)
-            self.bins.append(fresh)
-            opened.append(fresh)
-            for obs in self.observers:
-                obs.on_bin_opened(fresh, now)
-            return fresh
-
-        target = self.algorithm.dispatch(item, now, open_new_bin)
-        if target is None:
-            raise AlgorithmError(f"{self.algorithm.name} returned no bin for item {item.uid}")
-        target.pack(item)  # raises CapacityExceededError on a bad policy
-        self._bin_of_item[item.uid] = target
-        self._assignment[item.uid] = target.index
-        for obs in self.observers:
-            obs.on_packed(target, item, now, opened_new=bool(opened))
-
-    def _handle_departure(self, item: Item, now: float) -> bool:
-        bin_ = self._bin_of_item.pop(item.uid)
-        closed = bin_.remove(item, now)
-        self.algorithm.notify_departure(bin_, item, now, closed)
-        for obs in self.observers:
-            obs.on_departed(bin_, item, now, closed)
-        return closed
+    def _new_bin(self, index: int, opened_at: float) -> Bin:
+        fresh = Bin(self.instance.capacity, index=index, opened_at=opened_at)
+        self.bins.append(fresh)
+        return fresh
 
 
 def simulate(

@@ -1,19 +1,19 @@
 """The streaming engine: O(peak-open-items) replay of an item stream.
 
-Twin number three.  The classic engine (and its flat-array and batched
-siblings) materialise the full instance and lexsort all ``2n`` events up
-front; this engine consumes an *iterator* of items in arrival order,
-merges departures in on the fly (:mod:`repro.streaming.merge`), and
-keeps only live state:
+The classic engine (and its flat-array and batched siblings) materialise
+the full instance up front; this engine feeds an *iterator* of items in
+arrival order to the shared
+:class:`~repro.simulation.event_core.EventCore`, whose departure heap
+merges departures in on the fly, and keeps only live state:
 
-* open bins live in a dict keyed by bin index and are dropped the moment
-  they close (tombstone reclamation) — a closed bin's Eq. 1 cost
-  contribution is exactly ``closed_at - opened_at``, because a bin opens
-  with its first item, stays non-empty until it closes, and is never
-  reused, so the contribution is folded into a running total and the
-  object freed;
-* the item → bin map already pops on departure, so it too holds only
-  live items;
+* the core's open-bin dict drops a bin the moment it closes (tombstone
+  reclamation) — a closed bin's Eq. 1 cost contribution is exactly
+  ``closed_at - opened_at``, because a bin opens with its first item,
+  stays non-empty until it closes, and is never reused, so the
+  contribution is folded into a running total and the object freed;
+* the core's item → bin map pops on departure, so it too holds only
+  live items; the ``uid -> bin index`` assignment is recorded only on
+  request (``record_assignment``);
 * bins are :class:`StreamBin` — a :class:`~repro.core.bins.Bin` that
   tracks the latest member departure instead of appending every member
   to an unbounded audit ``history`` list;
@@ -32,39 +32,24 @@ enforces this on every corpus instance.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
 from ..algorithms.base import OnlineAlgorithm
 from ..core.bins import Bin
-from ..core.errors import AlgorithmError, StreamOrderError
+from ..core.errors import AlgorithmError
 from ..core.instance import Instance
 from ..core.intervals import Interval
 from ..core.items import Item
 from ..core.packing import Packing
 from ..observability.stats import StatsCollector
+from ..simulation.event_core import EventCore, _CapacityContext
 
 __all__ = ["StreamBin", "StreamResult", "StreamingEngine", "streaming_run"]
 
 _TOL = 1e-9
-
-
-class _CapacityContext:
-    """Duck-typed stand-in for an :class:`~repro.core.instance.Instance`.
-
-    Every stock algorithm's :meth:`~repro.algorithms.base.OnlineAlgorithm.start`
-    reads only ``instance.capacity``; streaming has no instance to offer,
-    so this shim carries the capacity vector and nothing else.
-    """
-
-    __slots__ = ("capacity",)
-
-    def __init__(self, capacity: np.ndarray) -> None:
-        self.capacity = capacity
 
 
 class StreamBin(Bin):
@@ -164,7 +149,6 @@ class StreamingEngine:
         self.collector = collector
         self.record_assignment = record_assignment
         self.flush_every = int(flush_every)
-        self._dispatch_s = 0.0
         self._ran = False
 
     # ------------------------------------------------------------------
@@ -176,188 +160,71 @@ class StreamingEngine:
             )
         self._ran = True
         col = self.collector
-        t_run = perf_counter()
-        if col is not None:
-            col.run_started(_CapacityContext(self.capacity), self.algorithm)
-            self.algorithm.bind_collector(col)
+        capacity = self.capacity
+        core = EventCore(
+            self.algorithm,
+            lambda index, opened_at: StreamBin(capacity, index, opened_at),
+            collector=col,
+            record_assignment=self.record_assignment,
+        )
+        flush_every = self.flush_every
+        next_flush = flush_every if flush_every else float("inf")
+        flushes = 0
         # suspend unbounded proof bookkeeping (e.g. next_fit's
         # release_log) for the duration of the replay: it is never read
         # online and would silently turn O(live) memory into O(stream)
         prev_audit = self.algorithm.audit_mode
         self.algorithm.audit_mode = False
+        core.start(_CapacityContext(capacity))
         try:
-            result = self._event_loop(items, col)
+            arrive = core.arrive
+            for item in items:
+                arrive(item)
+                events = core.arrivals + core.departures
+                if events >= next_flush:
+                    # one flush per crossed threshold, however many events
+                    # the departure drain advanced past it in one arrival
+                    while events >= next_flush:
+                        next_flush += flush_every
+                    flushes += 1
+                    if col is not None and col.sink is not None:
+                        col.sink.emit("stream_flush", {
+                            "events": events,
+                            "cost_closed": core.cost_closed,
+                            "open_bins": len(core.open_bins),
+                            "live_items": len(core.live),
+                        })
+            core.drain()
         finally:
             self.algorithm.audit_mode = prev_audit
-            if col is not None:
-                self.algorithm.bind_collector(None)
-        if col is not None:
-            col.record_run_totals(
-                arrivals=result.arrivals,
-                departures=result.departures,
-                bins_opened=result.bins_opened,
-                bins_closed=result.bins_closed,
-                peak_open_bins=result.peak_open_bins,
-                dispatch_time_s=self._dispatch_s,
-            )
-            col.streaming_runs += 1
-            col.stream_flushes += result.flushes
-            if result.peak_live_items > col.peak_live_items:
-                col.peak_live_items = result.peak_live_items
-            col.run_finished(
-                perf_counter() - t_run,
-                context={"engine": "streaming", "events": result.events},
-            )
-        return result
-
-    # ------------------------------------------------------------------
-    def _event_loop(
-        self, items: Iterable[Item], col: Optional[StatsCollector]
-    ) -> StreamResult:
-        # Inline streaming merge: same drain conditions and tie-breaks as
-        # repro.streaming.merge.merge_events (pinned against
-        # core.events.event_stream by tests), without allocating an Event
-        # object per event on the hot path.
-        algorithm = self.algorithm
-        capacity = self.capacity
-        algorithm.start(_CapacityContext(capacity))
-
-        heap: List[Tuple[float, int, Item]] = []
-        heappush, heappop = heapq.heappush, heapq.heappop
-        open_bins: Dict[int, StreamBin] = {}
-        bin_of_item: Dict[int, StreamBin] = {}
-        assignment: Optional[Dict[int, int]] = (
-            {} if self.record_assignment else None
-        )
-        next_index = 0
-        events = arrivals = departures = 0
-        closed_count = peak_open = peak_live = 0
-        cost_closed = 0.0
-        dispatch_s = 0.0
-        flushes = 0
-        flush_every = self.flush_every
-        next_flush = flush_every if flush_every else float("inf")
-        last_arrival = float("-inf")
-        instrumented = col is not None
-        pc = perf_counter
-
-        def handle_departure(item: Item, now: float) -> None:
-            nonlocal closed_count, cost_closed
-            bin_ = bin_of_item.pop(item.uid)
-            closed = bin_.remove(item, now)
-            algorithm.notify_departure(bin_, item, now, closed)
-            if closed:
-                closed_count += 1
-                cost_closed += bin_.closed_at - bin_.opened_at
-                del open_bins[bin_.index]  # tombstone reclamation
-
-        for pos, item in enumerate(items):
-            if item.arrival < last_arrival:
-                raise StreamOrderError(
-                    f"arrival stream is out of order: item {item.uid} arrives "
-                    f"at {item.arrival!r} after an arrival at {last_arrival!r}"
-                )
-            now = last_arrival = item.arrival
-            # departures-first at equal times (core.events rule 2)
-            while heap and heap[0][0] <= now:
-                t, _, departed = heappop(heap)
-                handle_departure(departed, t)
-                departures += 1
-                events += 1
-
-            opened: List[StreamBin] = []
-
-            def open_new_bin() -> StreamBin:
-                nonlocal next_index
-                if opened:
-                    raise AlgorithmError(
-                        f"{algorithm.name} opened two bins for one item "
-                        f"(item {item.uid})"
-                    )
-                fresh = StreamBin(capacity, index=next_index, opened_at=now)
-                next_index += 1
-                open_bins[fresh.index] = fresh
-                opened.append(fresh)
-                return fresh
-
-            if instrumented:
-                t0 = pc()
-                target = algorithm.dispatch(item, now, open_new_bin)
-                dispatch_s += pc() - t0
-            else:
-                target = algorithm.dispatch(item, now, open_new_bin)
-            if target is None:
-                raise AlgorithmError(
-                    f"{algorithm.name} returned no bin for item {item.uid}"
-                )
-            target.pack(item)
-            bin_of_item[item.uid] = target
-            if assignment is not None:
-                assignment[item.uid] = target.index
-            heappush(heap, (item.departure, item.uid, item))
-
-            arrivals += 1
-            events += 1
-            if len(open_bins) > peak_open:
-                peak_open = len(open_bins)
-            if len(bin_of_item) > peak_live:
-                peak_live = len(bin_of_item)
-            if events >= next_flush:
-                # one flush per crossed threshold, however many events
-                # the departure drain advanced past it in one iteration
-                while events >= next_flush:
-                    next_flush += flush_every
-                flushes += 1
-                self._emit_flush(col, events, cost_closed, open_bins, bin_of_item)
-
-        while heap:
-            t, _, departed = heappop(heap)
-            handle_departure(departed, t)
-            departures += 1
-            events += 1
+            core.release()
 
         # accrued usage of bins the stream left open (empty stream tail):
         # latest known departure bounds what they have certainly accrued
-        cost = cost_closed
-        for bin_ in open_bins.values():
+        cost = core.cost_closed
+        for bin_ in core.open_bins.values():
             cost += bin_.latest_departure - bin_.opened_at
-
-        self._dispatch_s = dispatch_s
-        return StreamResult(
-            algorithm=algorithm.name,
+        result = StreamResult(
+            algorithm=self.algorithm.name,
             cost=cost,
-            events=events,
-            arrivals=arrivals,
-            departures=departures,
-            bins_opened=next_index,
-            bins_closed=closed_count,
-            open_bins=len(open_bins),
-            peak_open_bins=peak_open,
-            peak_live_items=peak_live,
+            events=core.arrivals + core.departures,
+            arrivals=core.arrivals,
+            departures=core.departures,
+            bins_opened=core.bins_opened,
+            bins_closed=core.bins_closed,
+            open_bins=len(core.open_bins),
+            peak_open_bins=core.peak_open_bins,
+            peak_live_items=core.peak_live_items,
             flushes=flushes,
-            assignment=assignment,
+            assignment=core.assignment,
         )
-
-    def _emit_flush(
-        self,
-        col: Optional[StatsCollector],
-        events: int,
-        cost_closed: float,
-        open_bins: Dict[int, StreamBin],
-        live_items: Dict[int, StreamBin],
-    ) -> None:
-        """Emit one periodic progress record through the trace sink."""
-        if col is None or col.sink is None:
-            return
-        col.sink.emit(
-            "stream_flush",
-            {
-                "events": events,
-                "cost_closed": cost_closed,
-                "open_bins": len(open_bins),
-                "live_items": len(live_items),
-            },
-        )
+        if col is not None:
+            col.streaming_runs += 1
+            col.stream_flushes += flushes
+            if result.peak_live_items > col.peak_live_items:
+                col.peak_live_items = result.peak_live_items
+            core.finish({"engine": "streaming", "events": result.events})
+        return result
 
 
 def streaming_run(

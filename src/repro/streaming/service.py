@@ -3,10 +3,11 @@
 :class:`PlacementService` turns the packer from a batch experiment into
 an online server: callers ``place`` items and ``depart`` them one call
 at a time, against a monotonic service clock, with no instance and no
-pre-declared horizon.  State is exactly the streaming engine's live
-state — open :class:`~repro.streaming.engine.StreamBin` objects, the
-live item → bin map, a scheduled-departure heap — plus the dispatch
-policy's own exported state, so the whole service can be snapshotted to
+pre-declared horizon.  State is exactly the live state of the
+shared :class:`~repro.simulation.event_core.EventCore` — open
+:class:`~repro.streaming.engine.StreamBin` objects, the live item → bin
+map, the scheduled-departure heap — plus the dispatch policy's own
+exported state, so the whole service can be snapshotted to
 a JSON document and restored bit-identically (same future decisions,
 same costs), persisted through the same crash-safe
 :func:`~repro.orchestration.checkpoint.atomic_write` primitive the
@@ -23,30 +24,17 @@ Semantics
   **open-ended**: they stay resident until an explicit :meth:`depart`.
   Internally they carry the finite sentinel :data:`OPEN_ENDED`
   (``sys.float_info.max``) so the core item validation stays intact;
-  the sentinel never reaches any cost term because cost accrues from
-  observed clock times only.
+  the event core never schedules such an item, and the sentinel never
+  reaches any cost term because cost accrues from observed clock times
+  only.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import operator
-import sys
-from time import perf_counter
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -56,14 +44,10 @@ from ..core.errors import ConfigurationError, DVBPError, InvalidItemError
 from ..core.items import Item
 from ..observability.stats import RunStats, StatsCollector
 from ..orchestration.checkpoint import atomic_write
-from .engine import StreamBin, _CapacityContext
+from ..simulation.event_core import OPEN_ENDED, EventCore, _CapacityContext
+from .engine import StreamBin
 
 __all__ = ["OPEN_ENDED", "PlacementService"]
-
-#: Sentinel departure time of an item with no scheduled departure.
-#: Finite (``Item`` validation requires it), astronomically far, and
-#: excluded from every cost computation by construction.
-OPEN_ENDED = sys.float_info.max
 
 #: Snapshot document schema; bump on incompatible changes.
 SNAPSHOT_SCHEMA = "repro-service-snapshot/v1"
@@ -130,21 +114,14 @@ class PlacementService:
         # bookkeeping (next_fit's release_log) permanently, same as the
         # streaming engine does per run
         self._algorithm.audit_mode = False
-        self._algorithm.start(_CapacityContext(cap))
-        self.collector.run_started(_CapacityContext(cap), self._algorithm)
-        self._algorithm.bind_collector(self.collector)
+        self._core = EventCore(
+            self._algorithm,
+            lambda index, opened_at: StreamBin(cap, index, opened_at),
+            collector=self.collector,
+        )
+        self._core.start(_CapacityContext(cap))
         self._now = 0.0
         self._next_uid = 0
-        self._next_bin_index = 0
-        self._open_bins: Dict[int, StreamBin] = {}
-        self._items: Dict[int, Tuple[Item, StreamBin]] = {}
-        self._pending: List[Tuple[float, int]] = []
-        self._cost_closed = 0.0
-        self._arrivals = 0
-        self._departures = 0
-        self._bins_closed = 0
-        self._peak_open_bins = 0
-        self._peak_live_items = 0
 
     # ------------------------------------------------------------------
     # clock and state queries
@@ -157,12 +134,17 @@ class PlacementService:
     @property
     def live_items(self) -> int:
         """Number of currently resident items."""
-        return len(self._items)
+        return len(self._core.live)
 
     @property
     def open_bins(self) -> int:
         """Number of currently open bins."""
-        return len(self._open_bins)
+        return len(self._core.open_bins)
+
+    @property
+    def _items(self) -> Dict[int, Any]:
+        """Live items: ``uid -> bin``."""
+        return self._core.live
 
     @property
     def cost(self) -> float:
@@ -173,8 +155,8 @@ class PlacementService:
         continuously non-empty since they opened, so that is their exact
         accrued usage — no estimate involved).
         """
-        return self._cost_closed + sum(
-            self._now - b.opened_at for b in self._open_bins.values()
+        return self._core.cost_closed + sum(
+            self._now - b.opened_at for b in self._core.open_bins.values()
         )
 
     # ------------------------------------------------------------------
@@ -233,33 +215,10 @@ class PlacementService:
                 f"item size {item.size!r} does not fit the service "
                 f"capacity {self.capacity!r}"
             )
-        self._advance(at)
+        self._now = at
         self._next_uid = max(self._next_uid, uid + 1)
-
-        opened: List[StreamBin] = []
-
-        def open_new_bin() -> StreamBin:
-            fresh = StreamBin(self.capacity, index=self._next_bin_index, opened_at=at)
-            self._next_bin_index += 1
-            self._open_bins[fresh.index] = fresh
-            opened.append(fresh)
-            return fresh
-
-        t0 = perf_counter()
-        target = self._algorithm.dispatch(item, at, open_new_bin)
-        target.pack(item)
-        elapsed = perf_counter() - t0
-        self._items[uid] = (item, target)
-        if end != OPEN_ENDED:
-            heapq.heappush(self._pending, (end, uid))
-        self._arrivals += 1
-        if len(self._open_bins) > self._peak_open_bins:
-            self._peak_open_bins = len(self._open_bins)
-        if len(self._items) > self._peak_live_items:
-            self._peak_live_items = len(self._items)
-        self.collector.record_arrival(elapsed, opened_new=bool(opened))
-        if len(self._items) > self.collector.peak_live_items:
-            self.collector.peak_live_items = len(self._items)
+        target = self._core.arrive(item)
+        self._push_stats()
         return target.index
 
     def depart(self, item_id: int, at: Optional[float] = None) -> bool:
@@ -276,27 +235,31 @@ class PlacementService:
             raise ConfigurationError(
                 f"item {uid} is not live (never placed, or already departed)"
             )
-        self._advance(at)
-        return self._process_departure(uid, at)
+        self._now = at
+        closed = self._core.depart(uid, at)
+        self._push_stats()
+        return closed
 
     def advance(self, to: float) -> int:
         """Advance the clock to ``to``; return how many departures fired."""
-        before = self._departures
-        self._advance(self._check_clock(float(to)))
-        return self._departures - before
+        self._now = self._check_clock(float(to))
+        fired = self._core.advance(self._now)
+        self._push_stats()
+        return fired
 
     def stats(self) -> RunStats:
         """Lifecycle counters in the library's standard stats currency."""
+        core = self._core
         return RunStats(
             algorithm=self._algorithm.name,
             runs=1,
-            events=self._arrivals + self._departures,
-            arrivals=self._arrivals,
-            departures=self._departures,
-            bins_opened=self._next_bin_index,
-            bins_closed=self._bins_closed,
-            peak_open_bins=self._peak_open_bins,
-            peak_live_items=self._peak_live_items,
+            events=core.arrivals + core.departures,
+            arrivals=core.arrivals,
+            departures=core.departures,
+            bins_opened=core.bins_opened,
+            bins_closed=core.bins_closed,
+            peak_open_bins=core.peak_open_bins,
+            peak_live_items=core.peak_live_items,
         )
 
     # ------------------------------------------------------------------
@@ -314,32 +277,15 @@ class PlacementService:
 
     def _live_at(self, uid: int, at: float) -> bool:
         """Whether ``uid`` is still resident once the clock reaches ``at``."""
-        entry = self._items.get(uid)
-        return entry is not None and entry[0].departure > at
+        bin_ = self._core.live.get(uid)
+        return bin_ is not None and bin_.resident(uid).departure > at
 
-    def _advance(self, at: float) -> None:
-        """Move the clock to a :meth:`_check_clock`-validated ``at``."""
-        # scheduled departures up to and including ``at`` fire before
-        # whatever op requested the advance (departures-first tie-break)
-        while self._pending and self._pending[0][0] <= at:
-            t, uid = heapq.heappop(self._pending)
-            entry = self._items.get(uid)
-            if entry is None or entry[0].departure != t:
-                continue  # stale entry: the item departed explicitly
-            self._process_departure(uid, t)
-        self._now = at
-
-    def _process_departure(self, uid: int, now: float) -> bool:
-        item, bin_ = self._items.pop(uid)
-        closed = bin_.remove(item, now)
-        self._algorithm.notify_departure(bin_, item, now, closed)
-        self._departures += 1
-        if closed:
-            self._bins_closed += 1
-            self._cost_closed += bin_.closed_at - bin_.opened_at
-            del self._open_bins[bin_.index]
-        self.collector.record_departure(closed)
-        return closed
+    def _push_stats(self) -> None:
+        """Keep the shared collector current after every operation."""
+        core = self._core
+        core.flush_totals()
+        if core.peak_live_items > self.collector.peak_live_items:
+            self.collector.peak_live_items = core.peak_live_items
 
     # ------------------------------------------------------------------
     # snapshot / restore
@@ -353,9 +299,10 @@ class PlacementService:
         loads re-fold identically), and the policy re-adopts its own
         exported state (open-list order, RNG stream position, …).
         """
+        core = self._core
         bins = []
-        for index in sorted(self._open_bins):
-            b = self._open_bins[index]
+        for index in sorted(core.open_bins):
+            b = core.open_bins[index]
             bins.append({
                 "index": index,
                 "opened_at": b.opened_at,
@@ -370,10 +317,6 @@ class PlacementService:
                     for it in b.active_items()
                 ],
             })
-        pending = sorted(
-            (t, uid) for t, uid in self._pending
-            if uid in self._items and self._items[uid][0].departure == t
-        )
         return {
             "schema": SNAPSHOT_SCHEMA,
             "policy": self.policy,
@@ -381,17 +324,11 @@ class PlacementService:
             "capacity": [float(x) for x in self.capacity],
             "now": self._now,
             "next_uid": self._next_uid,
-            "next_bin_index": self._next_bin_index,
-            "cost_closed": self._cost_closed,
-            "counters": {
-                "arrivals": self._arrivals,
-                "departures": self._departures,
-                "bins_closed": self._bins_closed,
-                "peak_open_bins": self._peak_open_bins,
-                "peak_live_items": self._peak_live_items,
-            },
+            "next_bin_index": core.bins_opened,
+            "cost_closed": core.cost_closed,
+            "counters": core.counters(),
             "bins": bins,
-            "pending": [[t, uid] for t, uid in pending],
+            "pending": [[t, uid] for t, uid in core.scheduled()],
             "algorithm": self._algorithm.export_state(),
         }
 
@@ -415,34 +352,28 @@ class PlacementService:
         )
         svc._now = float(state["now"])
         svc._next_uid = int(state["next_uid"])
-        svc._next_bin_index = int(state["next_bin_index"])
-        svc._cost_closed = float(state["cost_closed"])
-        counters = state["counters"]
-        svc._arrivals = int(counters["arrivals"])
-        svc._departures = int(counters["departures"])
-        svc._bins_closed = int(counters["bins_closed"])
-        svc._peak_open_bins = int(counters["peak_open_bins"])
-        svc._peak_live_items = int(counters["peak_live_items"])
+        bins = []
         for rec in state["bins"]:
             b = StreamBin(
                 svc.capacity, index=int(rec["index"]), opened_at=float(rec["opened_at"])
             )
             for it_rec in rec["items"]:
-                item = Item(
+                b.pack(Item(  # re-folds the load in original pack order
                     float(it_rec["arrival"]),
                     float(it_rec["departure"]),
                     np.asarray(it_rec["size"], dtype=np.float64),
                     uid=int(it_rec["uid"]),
-                )
-                b.pack(item)  # re-folds the load in original pack order
-                svc._items[item.uid] = (item, b)
+                ))
             # pack() tracked only the residents' max departure; the true
             # high-water mark may come from an already-departed member
             b.latest_departure = float(rec["latest_departure"])
-            svc._open_bins[b.index] = b
-        svc._pending = [(float(t), int(uid)) for t, uid in state["pending"]]
-        heapq.heapify(svc._pending)
-        svc._algorithm.import_state(state["algorithm"], svc._open_bins)
+            bins.append(b)
+        core = svc._core
+        core.restore(
+            bins, state["pending"], state["counters"],
+            bins_opened=state["next_bin_index"], cost_closed=state["cost_closed"],
+        )
+        svc._algorithm.import_state(state["algorithm"], core.open_bins)
         return svc
 
     def snapshot_to(self, path: str) -> str:

@@ -30,9 +30,9 @@ counterpart and requires the two to agree exactly:
   exceed its budget, residency segments must tile each item's lifetime,
   capacity must hold under every intermediate load, and the engine's
   cost must equal the first-principles segment recomputation;
-* :func:`instrumented_equality_check` — the engine's plain event loop
-  versus its instrumented twin (identical packing; run counters that
-  agree with ground truth derived from the packing itself);
+* :func:`instrumented_equality_check` — a plain engine run versus an
+  instrumented one (identical packing; run counters that agree with
+  ground truth derived from the packing itself);
 * :func:`cost_check` — the packing's Eq. 1 cost recomputed from first
   principles as a sum of member-interval union lengths, using only the
   instance and the assignment;
@@ -269,9 +269,9 @@ def compare_with_streaming(
 ) -> List[Violation]:
     """Compare a classic-engine ``packing`` against the streaming replay.
 
-    The streaming engine consumes the instance's items through the
-    incremental merge (departure heap, tombstone-reclaimed bins) instead
-    of the up-front event lexsort, and must land on the *same* packing:
+    The streaming engine consumes the instance's items as an iterator
+    with bounded live state (``StreamBin`` bins, no materialised
+    instance), and must land on the *same* packing:
     same bin count, same item → bin assignment, and — since
     :func:`~repro.streaming.engine.streaming_run` derives its packing
     from the assignment through the same
@@ -436,10 +436,10 @@ def differential_check(
 def instrumented_equality_check(
     instance: Instance, policy: str, seed: int = 0
 ) -> List[Violation]:
-    """Plain vs instrumented engine loop on one (instance, policy) pair.
+    """Plain vs instrumented engine run on one (instance, policy) pair.
 
-    The instrumented twin loop must not change any decision, and its
-    counters must match ground truth recomputed from the packing.
+    Instrumentation must not change any decision, and its counters must
+    match ground truth recomputed from the packing.
     """
     kwargs = {"seed": seed} if policy == "random_fit" else {}
     plain = run(make_algorithm(policy, **kwargs), instance)

@@ -1,9 +1,9 @@
 """Independent brute-force reference simulator (the differential oracle).
 
-The production engine (:mod:`repro.simulation.engine`) is optimised: it
-shares a vectorised fit check across all Any Fit policies, recycles
-algorithm objects, and (when instrumented) runs a twin event loop.  Every
-one of those optimisations is a place a refactor can silently change
+The production engines are optimised: they share one event core
+(:mod:`repro.simulation.event_core`) and a vectorised fit check across
+all Any Fit policies, and they recycle algorithm objects.  Every one of
+those optimisations is a place a refactor can silently change
 behaviour.  This module re-implements the paper's Algorithm 1 *from the
 text alone* — plain Python loops, no :class:`~repro.core.bins.Bin`, no
 :class:`~repro.algorithms.base.AnyFitAlgorithm`, no shared dispatch code —

@@ -157,6 +157,30 @@ class TestTypedRuns:
         with pytest.raises(AlgorithmError):
             engine.run()
 
+    def test_policy_returning_no_bin_raises_algorithm_error(self, workload_instance):
+        class NoBin(TypedAnyFit):
+            def dispatch(self, item, now, open_new_bin):
+                return None
+
+        with pytest.raises(AlgorithmError, match="returned no bin"):
+            typed_run(NoBin(DEFAULT_FLEET), workload_instance)
+
+    def test_policy_opening_two_bins_raises_algorithm_error(self, workload_instance):
+        class TwoBins(TypedAnyFit):
+            def dispatch(self, item, now, open_new_bin):
+                stype = self.fleet.cheapest_feasible(item)
+                open_new_bin(stype)
+                return open_new_bin(stype)
+
+        with pytest.raises(AlgorithmError, match="opened two bins"):
+            typed_run(TwoBins(DEFAULT_FLEET), workload_instance)
+
+    def test_every_bin_closes_at_its_last_departure(self, workload_instance):
+        packing = typed_run(TypedAnyFit(DEFAULT_FLEET), workload_instance)
+        by_uid = {it.uid: it for it in workload_instance.items}
+        for rec in packing.bins:
+            assert rec.closed_at == max(by_uid[u].departure for u in rec.item_uids)
+
     def test_dimension_mismatch_rejected(self):
         inst = Instance([Item(0, 1, np.array([0.5]), 0)])
         with pytest.raises(ConfigurationError):

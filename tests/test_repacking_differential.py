@@ -18,9 +18,11 @@ Two contracts, over the full 22-recipe verification corpus:
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.algorithms.registry import PAPER_ALGORITHMS, make_algorithm
+from repro.observability.stats import StatsCollector
 from repro.repacking import (
     REPACK_POLICIES,
     audit_repacking,
@@ -29,6 +31,7 @@ from repro.repacking import (
 )
 from repro.simulation.runner import run
 from repro.verify.generators import CORPUS_RECIPES, corpus_list
+from repro.workloads.uniform import UniformWorkload
 
 _SEED = 20230613
 #: Budget-k cost may drift slightly *upwards* between adjacent budgets
@@ -156,3 +159,21 @@ def test_repacking_actually_repacks_somewhere():
             saved += 1
     assert moved > 0
     assert saved > 0
+
+
+# ----------------------------------------------------------------------
+# instrumentation: the repacking engine feeds the collector like the
+# classic engine does
+# ----------------------------------------------------------------------
+
+def test_budget_zero_records_the_classic_lifecycle_counters():
+    inst = UniformWorkload(d=2, n=200, mu=10, T=100).sample(np.random.default_rng(1))
+    classic, repacking = StatsCollector(), StatsCollector()
+    run(_algo("first_fit"), inst, collector=classic)
+    run(_algo("first_fit"), inst, engine="repacking", collector=repacking)
+    c, r = classic.snapshot(), repacking.snapshot()
+    assert (c.runs, c.arrivals, c.departures, c.bins_opened, c.peak_open_bins) == (
+        1, 200, 200, 112, 16
+    )
+    assert r.deterministic_part() == c.deterministic_part()
+    assert r.repacking_runs == 1 and r.migrations == 0

@@ -69,6 +69,18 @@ class TestServiceSemantics:
         assert fired == 0
         assert svc.stats().departures == 1
 
+    def test_reused_id_departs_once_at_its_own_time(self):
+        # the early-departed item's stale heap entry names the same uid
+        # and the same time as the reusing item's real one
+        svc = PlacementService(capacity=10.0)
+        svc.place(5.0, departure=8.0, item_id=42)
+        svc.depart(42, at=3.0)
+        svc.place(6.0, departure=8.0, at=4.0, item_id=42)
+        assert svc.advance(7.0) == 0 and svc.live_items == 1
+        assert svc.advance(8.0) == 1 and svc.live_items == 0
+        assert svc.snapshot()["pending"] == []
+        assert svc.stats().departures == 2 and svc.cost == 3.0 + 4.0
+
     def test_depart_unknown_item_raises(self):
         svc = PlacementService(capacity=10.0)
         with pytest.raises(ConfigurationError):
@@ -197,6 +209,59 @@ class TestSnapshotRestore:
             json.dump(doc, fh)
         with pytest.raises(ConfigurationError):
             PlacementService.restore_from(path)
+
+
+class TestSnapshotV1Compatibility:
+    """A ``repro-service-snapshot/v1`` document written by an earlier
+    release must restore into the same state and the same future.
+
+    Captured from a ``move_to_front`` session over capacity ``[10, 10]``
+    with scheduled, open-ended and explicitly numbered items, one
+    explicit departure and one closed bin.
+    """
+
+    V1_DOCUMENT = """{
+      "algorithm": {"open_list": [2, 0]},
+      "bins": [
+        {"index": 0, "opened_at": 0.0, "latest_departure": 1.7976931348623157e+308,
+         "items": [{"uid": 0, "arrival": 0.0, "departure": 5.0, "size": [4.0, 2.0]}]},
+        {"index": 2, "opened_at": 2.5, "latest_departure": 1.7976931348623157e+308,
+         "items": [
+           {"uid": 40, "arrival": 2.5, "departure": 1.7976931348623157e+308,
+            "size": [2.0, 2.0]},
+           {"uid": 41, "arrival": 4.0, "departure": 5.0, "size": [7.0, 7.0]}]}
+      ],
+      "capacity": [10.0, 10.0],
+      "cost_closed": 2.5,
+      "counters": {"arrivals": 6, "bins_closed": 1, "departures": 3,
+                   "peak_live_items": 5, "peak_open_bins": 3},
+      "next_bin_index": 3,
+      "next_uid": 42,
+      "now": 4.0,
+      "pending": [[5.0, 0], [5.0, 41]],
+      "policy": "move_to_front",
+      "schema": "repro-service-snapshot/v1",
+      "seed": 3
+    }"""
+
+    def test_restores_state_cost_and_next_placements(self):
+        from repro.streaming.service import SNAPSHOT_SCHEMA
+
+        assert SNAPSHOT_SCHEMA == "repro-service-snapshot/v1"
+        state = json.loads(self.V1_DOCUMENT)
+        svc = PlacementService.restore(state)
+        assert svc.snapshot() == state
+        assert svc.cost == 8.0
+        assert svc.stats().bins_opened == 3
+        assert svc.live_items == 3 and svc.open_bins == 2
+        bins = [svc.place([5.0, 5.0], duration=3.0, at=4.5),
+                svc.place([6.0, 6.0], at=5.0)]
+        assert svc.depart(40, at=5.5) is False
+        bins.append(svc.place([4.0, 4.0], duration=1.0, at=6.0))
+        svc.advance(10.0)
+        bins.append(svc.place([9.0, 9.0], duration=1.0, at=10.0))
+        assert bins == [0, 2, 2, 3]
+        assert svc.cost == 17.5
 
 
 class TestServeLoop:
