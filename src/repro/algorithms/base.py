@@ -10,8 +10,9 @@ differ only in
 * how ``L`` is reordered/pruned (Lines 9 and 12).
 
 :class:`AnyFitAlgorithm` implements the template once — including the
-vectorised fit check over all candidate bins and the enforcement of the
-Any Fit property — so subclasses only provide :meth:`choose` plus the
+vectorised fit check over all candidate bins (against a live
+:class:`ResidualTable` of their loads) and the enforcement of the Any
+Fit property — so subclasses only provide :meth:`choose` plus the
 list-maintenance hooks.
 """
 
@@ -26,9 +27,9 @@ from ..core.bins import Bin
 from ..core.errors import AlgorithmError
 from ..core.instance import Instance
 from ..core.items import Item
-from ..core.vectors import fits_batch
+from ..core.vectors import capacity_slack
 
-__all__ = ["OnlineAlgorithm", "AnyFitAlgorithm"]
+__all__ = ["OnlineAlgorithm", "AnyFitAlgorithm", "ResidualTable"]
 
 
 class OnlineAlgorithm(abc.ABC):
@@ -104,6 +105,13 @@ class OnlineAlgorithm(abc.ABC):
         default implementation does nothing.
         """
 
+    def notify_relocated(self, bin_: Bin, item: Item, now: float) -> None:
+        """Hook invoked after a repacking move packed ``item`` into ``bin_``.
+
+        The move's source side arrives through :meth:`notify_departure`
+        first.  The default implementation does nothing.
+        """
+
     # ------------------------------------------------------------------
     # snapshot/restore (service mode)
     # ------------------------------------------------------------------
@@ -140,6 +148,103 @@ class OnlineAlgorithm(abc.ABC):
         return f"{type(self).__name__}(name={self.name!r})"
 
 
+class ResidualTable:
+    """Live load rows for the bins of an Any Fit list ``L``.
+
+    One ``(slots, d)`` ``float64`` matrix with one row per bin: a bin
+    keeps its slot while it is open, and a closed bin's slot goes on a
+    free list for reuse.  A row is refreshed only when its bin's load
+    changed since the last fit check (the owner reports that through
+    :meth:`touch`), by copying ``bin.load`` — so every row read is
+    bitwise the bin's own load.  A bin of ``L`` without a slot gets one,
+    with a fresh copy, when a fit check first reads it; slots of bins
+    that left ``L`` without closing are reclaimed before the matrix
+    grows.
+    """
+
+    __slots__ = ("rows", "slack", "_slot", "_free", "_dirty")
+
+    def __init__(self, capacity: np.ndarray) -> None:
+        #: the fit bound, :func:`~repro.core.vectors.capacity_slack`
+        self.slack = capacity_slack(capacity)
+        self.rows = np.zeros((16, capacity.size), dtype=np.float64)
+        self._slot: Dict[Bin, int] = {}
+        self._free: List[int] = list(range(15, -1, -1))
+        self._dirty: List[Bin] = []
+
+    def touch(self, bin_: Bin) -> None:
+        """Mark ``bin_``'s load as changed since the last fit check."""
+        self._dirty.append(bin_)
+
+    def add(self, bin_: Bin, bins: Sequence[Bin]) -> None:
+        """Give ``bin_``, just put into ``bins`` (``L``), a slot.
+
+        Its row is filled by the next fit check.
+        """
+        self._reserve(1, bins)
+        self._slot[bin_] = self._free.pop()
+        self._dirty.append(bin_)
+
+    def release(self, bin_: Bin) -> None:
+        """Return a closed bin's slot to the free list."""
+        slot = self._slot.pop(bin_, None)
+        if slot is not None:
+            self._free.append(slot)
+
+    def rows_for(self, bins: Sequence[Bin]) -> np.ndarray:
+        """The load rows of ``bins``, in order, refreshing stale rows first."""
+        slot = self._slot
+        if self._dirty:
+            rows = self.rows
+            for bin_ in self._dirty:
+                s = slot.get(bin_)
+                if s is not None:
+                    rows[s] = bin_.load
+            self._dirty.clear()
+        try:
+            order = np.fromiter(map(slot.__getitem__, bins), np.intp, len(bins))
+        except KeyError:
+            order = self._assign(bins)
+        return self.rows[order]
+
+    def fitting(self, bins: Sequence[Bin], size: np.ndarray) -> List[Bin]:
+        """The bins of ``bins`` that can fit ``size``, in order.
+
+        The same comparison as :func:`~repro.core.vectors.fits_batch`:
+        ``load + size <= slack`` in every dimension.
+        """
+        ok = np.flatnonzero(np.all(self.rows_for(bins) + size <= self.slack, axis=1))
+        return [bins[i] for i in ok.tolist()]
+
+    def _assign(self, bins: Sequence[Bin]) -> List[int]:
+        """Give every slotless bin of ``bins`` a slot holding its load."""
+        slot = self._slot
+        missing = [b for b in bins if b not in slot]
+        self._reserve(len(missing), bins)
+        for bin_ in missing:
+            s = slot[bin_] = self._free.pop()
+            self.rows[s] = bin_.load
+        return [slot[b] for b in bins]
+
+    def _reserve(self, needed: int, bins: Sequence[Bin]) -> None:
+        """Make ``needed`` slots free: reclaim those of bins no longer in
+        ``bins``, then grow the matrix."""
+        slot = self._slot
+        free = self._free
+        if needed <= len(free):
+            return
+        members = set(bins)
+        for bin_ in [b for b in slot if b not in members]:
+            free.append(slot.pop(bin_))
+        if needed > len(free):
+            size = len(self.rows)
+            grown = max(2 * size, size + needed - len(free))
+            rows = np.zeros((grown, self.rows.shape[1]), dtype=np.float64)
+            rows[:size] = self.rows
+            self.rows = rows
+            free.extend(range(grown - 1, size - 1, -1))
+
+
 class AnyFitAlgorithm(OnlineAlgorithm):
     """Base class implementing Algorithm 1's outer loop.
 
@@ -164,6 +269,8 @@ class AnyFitAlgorithm(OnlineAlgorithm):
     def __init__(self) -> None:
         self._list: List[Bin] = []
         self._capacity: Optional[np.ndarray] = None
+        #: the live fit table, built by the first fit check of a run
+        self._table: Optional[ResidualTable] = None
 
     # ------------------------------------------------------------------
     # OnlineAlgorithm API
@@ -171,6 +278,7 @@ class AnyFitAlgorithm(OnlineAlgorithm):
     def start(self, instance: Instance) -> None:
         self._list = []
         self._capacity = instance.capacity
+        self._table = None
 
     @property
     def open_list(self) -> Sequence[Bin]:
@@ -180,7 +288,15 @@ class AnyFitAlgorithm(OnlineAlgorithm):
     def dispatch(self, item: Item, now: float, open_new_bin: Callable[[], Bin]) -> Bin:
         if self._capacity is None:
             raise AlgorithmError(f"{self.name}: dispatch before start()")
-        candidates = self._fitting_candidates(item)
+        if self._list:
+            col = self._collector
+            if col is not None:
+                col.candidate_scans += 1
+                col.fit_checks += len(self._list)
+            candidates = self._fitting_candidates(item)
+        else:
+            candidates = []
+        table = self._table
         if candidates:
             chosen = self.choose(item, candidates, now)
             if chosen is None or all(chosen is not c for c in candidates):
@@ -188,16 +304,32 @@ class AnyFitAlgorithm(OnlineAlgorithm):
                     f"{self.name}.choose returned a bin that was not offered "
                     f"(item {item.uid})"
                 )
+            if table is not None:
+                table.touch(chosen)  # the engine packs it next
         else:
             chosen = open_new_bin()
             self.on_new_bin(chosen, item, now)
+            if table is not None:
+                table.add(chosen, self._list)
         self.on_packed(chosen, item, now)
         return chosen
 
     def notify_departure(self, bin_: Bin, item: Item, now: float, closed: bool) -> None:
+        table = self._table
         if closed:
-            self._list = [b for b in self._list if b is not bin_]
+            try:
+                self._list.remove(bin_)
+            except ValueError:
+                pass  # the policy had already dropped it from L
+            if table is not None:
+                table.release(bin_)
             self.on_closed(bin_, now)
+        elif table is not None:
+            table.touch(bin_)
+
+    def notify_relocated(self, bin_: Bin, item: Item, now: float) -> None:
+        if self._table is not None:
+            self._table.touch(bin_)
 
     def export_state(self) -> Dict[str, Any]:
         """Snapshot ``L`` as a list of bin indexes (order is the state).
@@ -212,6 +344,7 @@ class AnyFitAlgorithm(OnlineAlgorithm):
         if self._capacity is None:
             raise AlgorithmError(f"{self.name}: import_state before start()")
         self._list = [bins_by_index[i] for i in state["open_list"]]
+        self._table = None
 
     # ------------------------------------------------------------------
     # hooks for subclasses
@@ -234,18 +367,12 @@ class AnyFitAlgorithm(OnlineAlgorithm):
     # internals
     # ------------------------------------------------------------------
     def _fitting_candidates(self, item: Item) -> List[Bin]:
-        """All bins of ``L`` that can fit ``item``, in ``L``-order.
+        """All bins of the non-empty ``L`` that can fit ``item``, in ``L``-order.
 
-        Uses a single vectorised comparison over the stacked load matrix
-        (the hot path of every simulation) instead of per-bin Python
-        checks.
+        One vectorised comparison over the rows of ``L`` in the live
+        :class:`ResidualTable` (the hot path of every simulation).
         """
-        if not self._list:
-            return []
-        col = self._collector
-        if col is not None:
-            col.candidate_scans += 1
-            col.fit_checks += len(self._list)
-        loads = np.stack([b.load for b in self._list])
-        mask = fits_batch(loads, item.size, self._capacity)
-        return [b for b, ok in zip(self._list, mask) if ok]
+        table = self._table
+        if table is None:
+            table = self._table = ResidualTable(self._capacity)
+        return table.fitting(self._list, item.size)

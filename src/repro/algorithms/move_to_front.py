@@ -39,9 +39,10 @@ class MoveToFront(AnyFitAlgorithm):
 
     def on_packed(self, bin_: Bin, item: Item, now: float) -> None:
         # Move the receiving bin to the front: it is now the leader.
-        if self._list and self._list[0] is bin_:
-            return
-        self._list = [bin_] + [b for b in self._list if b is not bin_]
+        lst = self._list
+        if lst[0] is not bin_:
+            lst.remove(bin_)
+            lst.insert(0, bin_)
 
     def leader(self) -> Bin:
         """The current front-of-list bin (used by the Figure 1 analysis).

@@ -56,6 +56,11 @@ class NextFit(AnyFitAlgorithm):
         # |L| == 1, so the only candidate is the current bin.
         return candidates[0]
 
+    def _fitting_candidates(self, item: Item) -> List[Bin]:
+        # |L| == 1: one scalar fit check, no residual table to keep
+        current = self._list[0]
+        return [current] if current.can_fit(item) else []
+
     def on_new_bin(self, bin_: Bin, item: Item, now: float) -> None:
         # The old current bin (if any) is released: drop it from L.  It
         # remains active in the engine and keeps accruing usage time.

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InvalidInstanceError, InvalidItemError
 from .intervals import Interval, breakpoints, merge_intervals, union_length
 from .items import Item
-from .vectors import EPS, as_size_vector
+from .vectors import EPS, as_size_vector, capacity_slack
 
 __all__ = ["Instance"]
 
@@ -77,8 +77,9 @@ class Instance:
             if np.any(cap <= 0):
                 raise InvalidInstanceError(f"capacity must be positive, got {cap!r}")
         cap.setflags(write=False)
+        slack = capacity_slack(cap)
         for it in items_t:
-            if np.any(it.size > cap + EPS * np.maximum(cap, 1.0)):
+            if np.any(it.size > slack):
                 raise InvalidItemError(
                     f"item {it.uid} with size {it.size!r} can never fit capacity {cap!r}"
                 )

@@ -24,6 +24,7 @@ __all__ = [
     "linf",
     "l1",
     "lp",
+    "capacity_slack",
     "fits",
     "fits_batch",
     "check_proposition1",
@@ -101,15 +102,26 @@ def lp(v: np.ndarray, p: float) -> float:
     return float(np.sum(v**p) ** (1.0 / p))
 
 
+def capacity_slack(capacity: np.ndarray) -> np.ndarray:
+    """The per-dimension bound a packed load is compared against.
+
+    ``capacity + EPS * max(capacity, 1)``: the capacity widened by a
+    relative tolerance of :data:`EPS` (scaled by the capacity so the
+    tolerance is meaningful for non-unit capacities, e.g. the B=100
+    integer experiments of Section 7).  Every library fit test compares
+    ``load + size <= capacity_slack(capacity)``, so all of them agree
+    bit for bit on the boundary.
+    """
+    return capacity + EPS * np.maximum(capacity, 1.0)
+
+
 def fits(load: np.ndarray, size: np.ndarray, capacity: np.ndarray) -> bool:
     """Return ``True`` if an item of ``size`` fits a bin at ``load``.
 
-    The check is per-dimension: ``load + size <= capacity`` within a
-    relative tolerance of :data:`EPS` (scaled by the capacity so the
-    tolerance is meaningful for non-unit capacities, e.g. the B=100
-    integer experiments of Section 7).
+    The check is per-dimension: ``load + size <= capacity`` within the
+    tolerance of :func:`capacity_slack`.
     """
-    return bool(np.all(load + size <= capacity + EPS * np.maximum(capacity, 1.0)))
+    return bool(np.all(load + size <= capacity_slack(capacity)))
 
 
 def fits_batch(loads: np.ndarray, size: np.ndarray, capacity: np.ndarray) -> np.ndarray:
@@ -128,12 +140,14 @@ def fits_batch(loads: np.ndarray, size: np.ndarray, capacity: np.ndarray) -> np.
     -------
     numpy.ndarray
         Boolean array of shape ``(m,)`` where entry ``i`` is ``True``
-        iff the item fits bin ``i``.  This is the hot path of every Any
-        Fit algorithm and deliberately avoids Python-level loops.
+        iff the item fits bin ``i``.  The same comparison as :func:`fits`
+        with no Python-level loop; the Any Fit dispatch path makes it
+        over the rows of its live residual table
+        (:class:`~repro.algorithms.base.ResidualTable`).
     """
     if loads.size == 0:
         return np.zeros(0, dtype=bool)
-    slack = capacity + EPS * np.maximum(capacity, 1.0)
+    slack = capacity_slack(capacity)
     return np.all(loads + size[np.newaxis, :] <= slack[np.newaxis, :], axis=1)
 
 

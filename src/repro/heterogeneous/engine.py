@@ -28,7 +28,7 @@ from ..core.errors import AlgorithmError, ConfigurationError, PackingAuditError
 from ..core.events import iter_arrivals
 from ..core.instance import Instance
 from ..core.items import Item
-from ..core.vectors import EPS
+from ..core.vectors import capacity_slack
 from ..simulation.event_core import EventCore
 from .types import Fleet, ServerType
 
@@ -86,7 +86,7 @@ class TypedPacking:
             raise PackingAuditError("assignment does not cover the instance")
         for rec in self.bins:
             cap = self.fleet.by_name(rec.type_name).capacity_array
-            slack = cap + EPS * np.maximum(cap, 1.0)
+            slack = capacity_slack(cap)
             items = [by_uid[u] for u in rec.item_uids]
             for t in sorted({it.arrival for it in items}):
                 load = sum(

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..core.errors import ConfigurationError
 from ..core.items import Item
-from ..core.vectors import EPS
+from ..core.vectors import capacity_slack
 
 __all__ = ["ServerType", "Fleet", "DEFAULT_FLEET"]
 
@@ -62,7 +62,7 @@ class ServerType:
     def fits_item(self, item: Item) -> bool:
         """Whether an empty server of this type can hold ``item``."""
         cap = self.capacity_array
-        return bool(np.all(item.size <= cap + EPS * np.maximum(cap, 1.0)))
+        return bool(np.all(item.size <= capacity_slack(cap)))
 
     @property
     def cost_density(self) -> float:

@@ -14,10 +14,10 @@ Counter semantics
 ``bins_opened`` / ``bins_closed`` / ``peak_open_bins``
     Bin lifecycle totals plus the peak simultaneously open count.
 ``candidate_scans`` / ``fit_checks``
-    The Any Fit hot path: one *scan* per vectorised
-    :func:`~repro.core.vectors.fits_batch` call (i.e. per arrival that
-    found a non-empty open list), and one *fit check* per candidate bin
-    inspected by that call.  ``fit_checks`` is the size of the work the
+    The Any Fit hot path: one *scan* per arrival that found a
+    non-empty open list ``L`` (one vectorised fit check over the
+    policy's :class:`~repro.algorithms.base.ResidualTable` rows), and
+    one *fit check* per bin of ``L`` inspected by that scan.  ``fit_checks`` is the size of the work the
     dispatch loop does — the quantity perf PRs on the hot path must
     drive down.
 ``fastpath_runs``

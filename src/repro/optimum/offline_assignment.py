@@ -39,7 +39,7 @@ from ..core.instance import Instance
 from ..core.intervals import Interval, union_length
 from ..core.items import Item
 from ..core.packing import Packing
-from ..core.vectors import EPS
+from ..core.vectors import capacity_slack
 
 __all__ = [
     "assignment_cost",
@@ -103,7 +103,7 @@ def assignment_cost(instance: Instance, assignment: Dict[int, int]) -> float:
 
 def _group_feasible(items: Sequence[Item], capacity: np.ndarray) -> bool:
     """Whether a group of items respects capacity at every instant."""
-    slack = capacity + EPS * np.maximum(capacity, 1.0)
+    slack = capacity_slack(capacity)
     arrivals = sorted({it.arrival for it in items})
     sizes = np.stack([it.size for it in items])
     starts = np.array([it.arrival for it in items])

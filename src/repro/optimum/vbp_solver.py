@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.errors import SolverLimitError
-from ..core.vectors import EPS
+from ..core.vectors import capacity_slack
 
 __all__ = [
     "first_fit_decreasing",
@@ -41,10 +41,6 @@ def _as_matrix(sizes: Sequence[np.ndarray], capacity: np.ndarray) -> np.ndarray:
     return np.asarray(np.stack(sizes), dtype=np.float64)
 
 
-def _slack(capacity: np.ndarray) -> np.ndarray:
-    return capacity + EPS * np.maximum(capacity, 1.0)
-
-
 def first_fit_decreasing(
     sizes: Sequence[np.ndarray], capacity: np.ndarray
 ) -> List[List[int]]:
@@ -56,7 +52,7 @@ def first_fit_decreasing(
     mat = _as_matrix(sizes, capacity)
     if mat.shape[0] == 0:
         return []
-    slack = _slack(capacity)
+    slack = capacity_slack(capacity)
     order = np.argsort(-np.max(mat / capacity[np.newaxis, :], axis=1), kind="stable")
     bins: List[List[int]] = []
     loads: List[np.ndarray] = []
@@ -87,7 +83,7 @@ def best_fit_decreasing(
     mat = _as_matrix(sizes, capacity)
     if mat.shape[0] == 0:
         return []
-    slack = _slack(capacity)
+    slack = capacity_slack(capacity)
     order = np.argsort(-np.max(mat / capacity[np.newaxis, :], axis=1), kind="stable")
     bins: List[List[int]] = []
     loads: List[np.ndarray] = []
@@ -153,7 +149,7 @@ def solve_exact(
     n = mat.shape[0]
     if n == 0:
         return 0
-    slack = _slack(capacity)
+    slack = capacity_slack(capacity)
 
     # incumbent: better of FFD and BFD
     upper = min(

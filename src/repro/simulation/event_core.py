@@ -71,8 +71,9 @@ class EventCore:
     Parameters
     ----------
     algorithm:
-        The dispatch policy: ``dispatch(item, now, open_new_bin)`` and
-        ``notify_departure(bin, item, now, closed)``.
+        The dispatch policy: ``dispatch(item, now, open_new_bin)``,
+        ``notify_departure(bin, item, now, closed)`` and, for
+        :meth:`relocate`, ``notify_relocated(bin, item, now)``.
     bin_factory:
         ``(index, opened_at, *args) -> Bin``; ``args`` are forwarded
         from the policy's ``open_new_bin`` call.
@@ -122,10 +123,12 @@ class EventCore:
         self.peak_open_bins = 0
         self.peak_live_items = 0
         self.cost_closed = 0.0
+        #: seconds spent in ``algorithm.dispatch`` (timed only with a collector)
+        self.dispatch_s = 0.0
         self._factory = bin_factory
         self._item: Optional[Item] = None
         self._opened: Optional[Bin] = None
-        self._dispatch_s = 0.0
+        self._dispatch_pushed = 0.0
         self._pushed = (0, 0, 0, 0)
         self._t_start = 0.0
 
@@ -164,10 +167,10 @@ class EventCore:
             bins_opened=self.bins_opened - opened,
             bins_closed=self.bins_closed - closed,
             peak_open_bins=self.peak_open_bins,
-            dispatch_time_s=self._dispatch_s,
+            dispatch_time_s=self.dispatch_s - self._dispatch_pushed,
         )
         self._pushed = self._totals()
-        self._dispatch_s = 0.0
+        self._dispatch_pushed = self.dispatch_s
 
     def finish(self, context: Optional[Mapping[str, Any]] = None) -> None:
         """Push the final totals and close the run on the collector."""
@@ -230,7 +233,7 @@ class EventCore:
         if self.collector is not None:
             t0 = perf_counter()
             target = algorithm.dispatch(item, now, self._open_bin)
-            self._dispatch_s += perf_counter() - t0
+            self.dispatch_s += perf_counter() - t0
         else:
             target = algorithm.dispatch(item, now, self._open_bin)
         if target is None:
@@ -301,7 +304,8 @@ class EventCore:
 
         The source side is a departure for the policy and the observers
         (the same ``notify_departure`` contract), the destination side a
-        pack that opened no bin.  Admission checks are the caller's.
+        pack that opened no bin (``notify_relocated`` for the policy).
+        Admission checks are the caller's.
         """
         src = self.live[item.uid]
         closed = src.remove(item, t)
@@ -312,6 +316,7 @@ class EventCore:
         if closed:
             self._close(src)
         self.algorithm.notify_departure(src, item, t, closed)
+        self.algorithm.notify_relocated(dst, item, t)
         for obs in self.observers:
             obs.on_departed(src, item, t, closed)
             obs.on_packed(dst, item, t, opened_new=False)

@@ -1,10 +1,12 @@
 """Flat-array fast-path twin of the classic simulation :class:`Engine`.
 
 The classic engine replays Algorithm 1 over per-bin Python objects: every
-arrival re-stacks the open bins' load vectors into a fresh matrix before
-the vectorised fit check, and every bin transition walks observer hooks.
-That object traversal — not the arithmetic — dominates the Table 2 /
-Figure 4 sweeps and the ``repro verify`` fuzz harness.
+arrival gathers the rows of the open list from the policy's live residual
+table (:class:`~repro.algorithms.base.ResidualTable`, one row per bin,
+re-copied when that bin's load changed) for the vectorised fit check,
+builds the candidate list as bin objects, and every bin transition walks
+observer hooks.  That object traversal — not the arithmetic — dominates
+the Table 2 / Figure 4 sweeps and the ``repro verify`` fuzz harness.
 
 :class:`FastEngine` keeps the *same decision procedure* in flat parallel
 arrays instead:
@@ -102,7 +104,7 @@ import numpy as _np
 from ..core.errors import AlgorithmError, ConfigurationError
 from ..core.instance import Instance
 from ..core.packing import Packing
-from ..core.vectors import EPS
+from ..core.vectors import EPS, capacity_slack
 from ..observability.stats import StatsCollector
 
 __all__ = [
@@ -483,7 +485,7 @@ class ReplayContext:
         if resolved != PYTHON_BACKEND:
             np = _np
             capacity = np.asarray(instance.capacity, dtype=np.float64)
-            self.slack = capacity + EPS * np.maximum(capacity, 1.0)
+            self.slack = capacity_slack(capacity)
             # concatenate+reshape copies the same per-item rows np.stack
             # would, without stack's per-array shape bookkeeping
             if n:

@@ -122,6 +122,9 @@ class PlacementService:
         self._core.start(_CapacityContext(cap))
         self._now = 0.0
         self._next_uid = 0
+        # this object's own dispatch work; the collector may be shared
+        self._fit_checks = 0
+        self._candidate_scans = 0
 
     # ------------------------------------------------------------------
     # clock and state queries
@@ -217,7 +220,11 @@ class PlacementService:
             )
         self._now = at
         self._next_uid = max(self._next_uid, uid + 1)
+        col = self.collector
+        checks, scans = col.fit_checks, col.candidate_scans
         target = self._core.arrive(item)
+        self._fit_checks += col.fit_checks - checks
+        self._candidate_scans += col.candidate_scans - scans
         self._push_stats()
         return target.index
 
@@ -248,7 +255,13 @@ class PlacementService:
         return fired
 
     def stats(self) -> RunStats:
-        """Lifecycle counters in the library's standard stats currency."""
+        """Lifecycle counters in the library's standard stats currency.
+
+        The dispatch work is this service's own, also when the collector
+        is shared: ``fit_checks`` and ``candidate_scans`` are part of a
+        snapshot like the lifecycle counters, ``dispatch_time_s`` counts
+        from construction or restore.
+        """
         core = self._core
         return RunStats(
             algorithm=self._algorithm.name,
@@ -260,6 +273,9 @@ class PlacementService:
             bins_closed=core.bins_closed,
             peak_open_bins=core.peak_open_bins,
             peak_live_items=core.peak_live_items,
+            candidate_scans=self._candidate_scans,
+            fit_checks=self._fit_checks,
+            dispatch_time_s=core.dispatch_s,
         )
 
     # ------------------------------------------------------------------
@@ -300,6 +316,12 @@ class PlacementService:
         exported state (open-list order, RNG stream position, …).
         """
         core = self._core
+        counters = core.counters()
+        if self._candidate_scans:
+            # only once there is dispatch work, so a document written
+            # without these keys restores and re-snapshots unchanged
+            counters["fit_checks"] = self._fit_checks
+            counters["candidate_scans"] = self._candidate_scans
         bins = []
         for index in sorted(core.open_bins):
             b = core.open_bins[index]
@@ -326,7 +348,7 @@ class PlacementService:
             "next_uid": self._next_uid,
             "next_bin_index": core.bins_opened,
             "cost_closed": core.cost_closed,
-            "counters": core.counters(),
+            "counters": counters,
             "bins": bins,
             "pending": [[t, uid] for t, uid in core.scheduled()],
             "algorithm": self._algorithm.export_state(),
@@ -352,6 +374,8 @@ class PlacementService:
         )
         svc._now = float(state["now"])
         svc._next_uid = int(state["next_uid"])
+        svc._fit_checks = int(state["counters"].get("fit_checks", 0))
+        svc._candidate_scans = int(state["counters"].get("candidate_scans", 0))
         bins = []
         for rec in state["bins"]:
             b = StreamBin(
@@ -429,7 +453,8 @@ def serve_loop(
     * ``{"op": "advance", "to": t}`` →
       ``{"ok": true, "departed": k, "now": t}``;
     * ``{"op": "stats"}`` → ``{"ok": true, "stats": {…}, "cost": c,
-      "live_items": n, "open_bins": m, "now": t}``;
+      "live_items": n, "open_bins": m, "now": t}`` (``stats`` is
+      :meth:`PlacementService.stats` without ``dispatch_time_s``);
     * ``{"op": "snapshot", "path": p}`` → ``{"ok": true, "path": p}``
       (checksummed file via :meth:`PlacementService.snapshot_to`);
       without ``"path"`` the state document is returned inline under
@@ -478,9 +503,13 @@ def serve_loop(
                 departed = service.advance(req["to"])
                 resp = {"ok": True, "departed": departed, "now": service.now}
             elif op == "stats":
+                stats = dataclasses.asdict(service.stats())
+                # a restored service must answer like the original, so
+                # the reply leaves out the one timing
+                del stats["dispatch_time_s"]
                 resp = {
                     "ok": True,
-                    "stats": dataclasses.asdict(service.stats()),
+                    "stats": stats,
                     "cost": service.cost,
                     "live_items": service.live_items,
                     "open_bins": service.open_bins,
